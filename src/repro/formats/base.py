@@ -19,6 +19,52 @@ import numpy as np
 
 from ..util import MODEL_INDEX_BYTES, model_value_bytes
 
+#: Instance attribute holding a container's memo (see :func:`container_memo`).
+MEMO_ATTR = "_repro_memo"
+
+
+def container_memo(container) -> dict:
+    """The dict of values memoized on ``container`` (created on first use).
+
+    Kernels keep what they derive from a container's arrays alone here —
+    the prepared operand, unique-index counts, per-``(k, config)``
+    accounting — so repeated runs over a resident container skip that
+    work.  Containers are not mutated after construction, and the memo
+    carries the shape/nnz it was created for: a container whose arrays
+    were replaced wholesale starts an empty memo, as the fingerprint memo
+    does.  Callers that edit values in place must drop it with
+    :func:`drop_container_memo`.  :meth:`SparseMatrix.__getstate__`
+    leaves it out, so it is never pickled, spilled or shipped to workers.
+    """
+    guard = (container.shape, container.nnz)
+    held = getattr(container, MEMO_ATTR, None)
+    if held is not None and held[0] == guard:
+        return held[1]
+    memo: dict = {}
+    setattr(container, MEMO_ATTR, (guard, memo))
+    return memo
+
+
+def memoized(container, key, compute):
+    """``compute()``, kept in ``container``'s memo under ``key``.
+
+    Only for values derived from the container's arrays (and whatever
+    ``key`` names); see :func:`container_memo`.
+    """
+    memo = container_memo(container)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
+def drop_container_memo(container) -> None:
+    """Forget everything memoized on ``container`` (after an in-place edit)."""
+    try:
+        delattr(container, MEMO_ATTR)
+    except AttributeError:
+        pass
+
 
 class SparseMatrix(abc.ABC):
     """Common interface for COO/CSR/CSC/DCSR and tiled containers."""
@@ -92,6 +138,12 @@ class SparseMatrix(abc.ABC):
         return self.metadata_bytes() + self.value_bytes()
 
     # ----------------------------------------------------------------- dunder
+    def __getstate__(self) -> dict:
+        """Pickle and copy state: everything but the memo."""
+        state = self.__dict__.copy()
+        state.pop(MEMO_ATTR, None)
+        return state
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<{type(self).__name__} shape={self.shape} nnz={self.nnz} "

@@ -93,6 +93,16 @@ class GPUConfig:
         """As above for 12 B (index + FP64 value): 0.882 ns on HBM2."""
         return 12.0 / self.channel_bandwidth_gbps
 
+    def cache_key(self) -> str:
+        """Hashable identity over every field, for memos keyed by config.
+
+        The config holds an ``extras`` dict, so it is not hashable itself,
+        and ``name`` alone does not tell apart two configs that differ in
+        one field.  The dataclass ``repr`` lists every field, floats
+        exactly.
+        """
+        return repr(self)
+
 
 #: Section 5.1's evaluation platform: NVIDIA GV100 (Volta).
 GV100 = GPUConfig(

@@ -20,12 +20,13 @@ Dense-operand traffic uses a two-term model per operand:
 from __future__ import annotations
 
 import functools
-import weakref
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..formats.base import memoized
 from ..gpu.cache import dense_reuse_fraction
 from ..gpu.config import GPUConfig
 from ..gpu.counters import InstructionMix, KernelResult, TrafficCounters
@@ -160,10 +161,11 @@ def spmm_flops(nnz: int, dense_cols: int) -> float:
 
 
 # ------------------------------------------------------- kernel boilerplate
-# Every simulated kernel does the same three chores around its cost model:
+# Every simulated kernel does the same chores around its cost model:
 # validate/execute the numeric product, sweep the warp-activity model once
-# per B column group, and assemble a KernelResult.  The helpers below hold
-# that boilerplate so a kernel body is mostly its traffic/activity model.
+# per B column group, assemble its Accounting, memoize it on the container,
+# and pair it with the output.  The helpers below hold that boilerplate so
+# a kernel body is mostly its traffic/activity model.
 
 
 def compute_spmm(matrix, dense, *, backend: str | None = None) -> np.ndarray:
@@ -177,11 +179,21 @@ def compute_spmm(matrix, dense, *, backend: str | None = None) -> np.ndarray:
     return get_backend(backend).execute(matrix, dense)
 
 
-#: Stack of active fused-result tables (see :class:`fused_results`).  Each
-#: table maps ``id(dense) -> (dense, out)``; the strong reference to the
-#: dense operand keeps its ``id`` from being recycled while the table is
-#: live, and the identity re-check on lookup makes a stale id harmless.
-_FUSED_RESULTS: list = []
+#: Per-thread stack of active fused-result tables (see
+#: :class:`fused_results`).  Each table maps ``id(dense) -> (dense, out)``;
+#: the strong reference to the dense operand keeps its ``id`` from being
+#: recycled while the table is live, and the identity re-check on lookup
+#: makes a stale id harmless.  The stack is per thread because in-process
+#: thread pools run requests concurrently, and a table must only serve
+#: the kernels its own request calls.
+_FUSED_RESULTS = threading.local()
+
+
+def _fused_stack() -> list:
+    stack = getattr(_FUSED_RESULTS, "stack", None)
+    if stack is None:
+        stack = _FUSED_RESULTS.stack = []
+    return stack
 
 
 class fused_results:
@@ -189,14 +201,16 @@ class fused_results:
 
     The request-coalescing plane computes one wide-k product for a whole
     window of same-matrix requests, then replays each member request for
-    its record.  Inside this context, :func:`prepare_spmm` recognizes a
-    registered dense operand *by object identity* and returns its
-    registered result instead of recomputing — every validation and
-    accounting step still runs, only the arithmetic is skipped.  Because
-    CSR/DCSR SpMM computes each output column independently (and every
-    container canonicalizes to the same CSR arrays), a correctly sliced
-    wide result is bit-identical to the standalone product, so records
-    produced under this context digest identically to unfused runs.
+    its record; :func:`~repro.kernels.hybrid.run_c_stationary_best`
+    computes one product and lets the CSR and DCSR kernels share it.
+    Inside this context, :func:`prepare_spmm` recognizes a registered
+    dense operand *by object identity* and returns its registered result
+    instead of recomputing — validation and accounting still run, only
+    the arithmetic is skipped.  Because CSR/DCSR SpMM computes each
+    output column independently (and every container canonicalizes to
+    the same CSR arrays), a correctly sliced wide result is bit-identical
+    to the standalone product, so records produced under this context
+    digest identically to unfused runs.
 
     Tables nest (inner-most wins) and are keyed per operand *object*, not
     content: a registered result is only ever handed back for the exact
@@ -207,17 +221,17 @@ class fused_results:
         self._table = {id(dense): (dense, out) for dense, out in pairs}
 
     def __enter__(self):
-        _FUSED_RESULTS.append(self._table)
+        _fused_stack().append(self._table)
         return self
 
     def __exit__(self, *exc):
-        _FUSED_RESULTS.pop()
+        _fused_stack().pop()
         return False
 
 
 def _fused_lookup(dense):
     """The registered result for ``dense``, or ``None``."""
-    for table in reversed(_FUSED_RESULTS):
+    for table in reversed(_fused_stack()):
         held = table.get(id(dense))
         if held is not None and held[0] is dense:
             return held[1]
@@ -242,41 +256,52 @@ def prepare_spmm(
     return b, b.shape[1], out
 
 
-#: id(idx) → (weakref, nnz, count). Format index arrays are immutable
-#: once built and live in the per-process format store, so an identity
-#: key is stable; the weakref liveness check guards against id reuse.
-_UNIQUE_COUNT_MEMO: dict[int, tuple] = {}
-_UNIQUE_COUNT_MEMO_MAX = 256
-
-
 def unique_index_count(idx: np.ndarray, nnz: int) -> int:
     """Distinct indices touched (0 for an empty matrix/strip).
 
-    Memoized by array identity: the counter models call this with the
-    format store's long-lived ``col_idx``/``row_idx`` arrays on every
-    run over a resident matrix, and the ``np.unique`` scan is the single
-    most expensive part of the model. Callers must not mutate ``idx``
-    after the first call (format arrays never are).
+    Kernels call this through :func:`~repro.formats.base.memoized` on the
+    container that owns ``idx``: the count does not depend on k, so one
+    scan serves every later run over a resident container, whatever its
+    dense width.
     """
-    if not nnz:
-        return 0
-    hit = _UNIQUE_COUNT_MEMO.get(id(idx))
-    if hit is not None:
-        ref, got_nnz, count = hit
-        if ref() is idx and got_nnz == nnz:
-            return count
-    count = int(np.unique(idx).size)
-    try:
-        ref = weakref.ref(idx)
-    except TypeError:  # non-weakref-able view/subclass: skip the memo
-        return count
-    if len(_UNIQUE_COUNT_MEMO) >= _UNIQUE_COUNT_MEMO_MAX:
-        for dead in [k for k, v in _UNIQUE_COUNT_MEMO.items() if v[0]() is None]:
-            del _UNIQUE_COUNT_MEMO[dead]
-        if len(_UNIQUE_COUNT_MEMO) >= _UNIQUE_COUNT_MEMO_MAX:
-            _UNIQUE_COUNT_MEMO.clear()
-    _UNIQUE_COUNT_MEMO[id(idx)] = (ref, nnz, count)
-    return count
+    return int(np.unique(idx).size) if nnz else 0
+
+
+def unique_col_count(container) -> int:
+    """Distinct columns holding a stored entry, memoized on ``container``."""
+    return memoized(
+        container, "unique_cols",
+        lambda: unique_index_count(container.col_idx, container.nnz),
+    )
+
+
+@dataclass(frozen=True)
+class Accounting:
+    """A kernel's structure-only counters: everything but the output.
+
+    Kernels memoize this per container, keyed by k, the whole GPU config
+    and their own parameters.  :meth:`result` hands out private copies,
+    so callers that annotate a result (provenance, coalescing, the
+    degradation ladder) never reach the memoized entry.  ``extras``
+    values are scalars, so a shallow copy is a full copy.
+    """
+
+    traffic: TrafficCounters
+    mix: InstructionMix
+    flops: float
+    algorithm: str
+    extras: dict
+
+    def result(self, out: np.ndarray) -> KernelResult:
+        """The :class:`KernelResult` for output ``out``."""
+        return KernelResult(
+            output=out,
+            traffic=replace(self.traffic),
+            mix=replace(self.mix),
+            flops=self.flops,
+            algorithm=self.algorithm,
+            extras=dict(self.extras),
+        )
 
 
 def grouped_row_activity(
@@ -351,20 +376,18 @@ def traced_kernel(fn):
     return wrapper
 
 
-def kernel_result(
-    out: np.ndarray,
+def kernel_accounting(
     traffic: TrafficCounters,
     mix: InstructionMix,
     nnz: int,
     dense_cols: int,
     algorithm: str,
     extras: dict,
-) -> KernelResult:
-    """Assemble and validate the KernelResult every kernel returns."""
+) -> Accounting:
+    """Validate and assemble the :class:`Accounting` every kernel returns."""
     traffic.validate()
     mix.validate()
-    return KernelResult(
-        output=out,
+    return Accounting(
         traffic=traffic,
         mix=mix,
         flops=spmm_flops(nnz, dense_cols),

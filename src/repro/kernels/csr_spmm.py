@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.base import memoized
 from ..formats.csr import CSRMatrix
 from ..gpu.config import GPUConfig
 from ..gpu.counters import KernelResult, TrafficCounters
 from .common import (
+    Accounting,
     b_operand_traffic,
     c_single_write_bytes,
     grouped_row_activity,
-    kernel_result,
+    kernel_accounting,
     llc_bytes,
     n_b_column_groups,
     prepare_spmm,
     traced_kernel,
-    unique_index_count,
+    unique_col_count,
 )
 
 
@@ -48,14 +50,22 @@ def csr_spmm(
 
     ``backend`` selects the arithmetic implementation only (see
     ``docs/BACKENDS.md``); every counter below is a pure function of the
-    nonzero structure and is identical for all backends.
+    nonzero structure and is identical for all backends, so it is
+    memoized on ``csr`` per ``(k, config)``.
     """
     _, k, out = prepare_spmm(csr, dense, backend=backend)
+    accounting = memoized(
+        csr, ("csr_spmm", k, config.cache_key()),
+        lambda: _accounting(csr, k, config),
+    )
+    return accounting.result(out)
 
+
+def _accounting(csr: CSRMatrix, k: int, config: GPUConfig) -> Accounting:
     lengths = csr.row_lengths()
     nz_lengths = lengths[lengths > 0]
     n_empty = int(csr.n_rows - nz_lengths.size)
-    unique_cols = unique_index_count(csr.col_idx, csr.nnz)
+    unique_cols = unique_col_count(csr)
 
     groups = n_b_column_groups(k)
     traffic = TrafficCounters()
@@ -72,8 +82,7 @@ def csr_spmm(
     # Every column group re-walks the row structure.
     mix = grouped_row_activity(config, groups, nz_lengths, n_empty, k)
 
-    return kernel_result(
-        out,
+    return kernel_accounting(
         traffic,
         mix,
         csr.nnz,

@@ -15,19 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.base import memoized
 from ..formats.dcsr import DCSRMatrix
 from ..gpu.config import GPUConfig
 from ..gpu.counters import KernelResult, TrafficCounters
 from .common import (
+    Accounting,
     b_operand_traffic,
     c_single_write_bytes,
     grouped_row_activity,
-    kernel_result,
+    kernel_accounting,
     llc_bytes,
     n_b_column_groups,
     prepare_spmm,
     traced_kernel,
-    unique_index_count,
+    unique_col_count,
 )
 
 
@@ -42,12 +44,19 @@ def dcsr_spmm(
     """Simulate the untiled-DCSR C-stationary kernel.
 
     ``backend`` selects the arithmetic implementation only; counters are
-    backend-invariant.
+    backend-invariant and memoized on ``dcsr`` per ``(k, config)``.
     """
     _, k, out = prepare_spmm(dcsr, dense, backend=backend)
+    accounting = memoized(
+        dcsr, ("dcsr_spmm", k, config.cache_key()),
+        lambda: _accounting(dcsr, k, config),
+    )
+    return accounting.result(out)
 
+
+def _accounting(dcsr: DCSRMatrix, k: int, config: GPUConfig) -> Accounting:
     lengths = dcsr.row_lengths()
-    unique_cols = unique_index_count(dcsr.col_idx, dcsr.nnz)
+    unique_cols = unique_col_count(dcsr)
 
     groups = n_b_column_groups(k)
     traffic = TrafficCounters()
@@ -64,8 +73,7 @@ def dcsr_spmm(
         config, groups, lengths, 0, k, dcsr_rows=dcsr.n_nonzero_rows
     )
 
-    return kernel_result(
-        out,
+    return kernel_accounting(
         traffic,
         mix,
         dcsr.nnz,

@@ -24,21 +24,34 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from ..formats.base import memoized
 from ..formats.tiled import TiledCSR, TiledDCSR
 from ..gpu.config import GPUConfig
 from ..gpu.counters import InstructionMix, KernelResult, TrafficCounters
 from .common import (
+    Accounting,
     b_operand_traffic,
     c_atomic_traffic,
     grouped_row_activity,
-    kernel_result,
+    kernel_accounting,
     llc_bytes,
     n_b_column_groups,
     prepare_spmm,
     traced_kernel,
+    unique_col_count,
     unique_index_count,
 )
 from .traversal import traversal_effects
+
+
+def _unique_rows(tiled) -> int:
+    """Distinct rows holding a stored entry in any strip (memoized)."""
+
+    def count():
+        rows_all, _, _ = tiled.to_coo_arrays()
+        return unique_index_count(rows_all, len(rows_all))
+
+    return memoized(tiled, "unique_rows", count)
 
 
 def _strip_profiles(tiled) -> list[dict]:
@@ -52,7 +65,7 @@ def _strip_profiles(tiled) -> list[dict]:
             all_lengths = strip.row_lengths()
             lengths = all_lengths[all_lengths > 0]
             nz_rows = int(lengths.size)
-        nz_cols = unique_index_count(strip.col_idx, strip.nnz)
+        nz_cols = unique_col_count(strip)
         profiles.append(
             {
                 "nnz": strip.nnz,
@@ -91,6 +104,21 @@ def b_stationary_spmm(
     if tile_height <= 0:
         raise ConfigError(f"tile_height must be positive, got {tile_height}")
     _, k, out = prepare_spmm(tiled, dense, backend=backend)
+    key = ("b_stationary_spmm", k, config.cache_key(), traversal,
+           a_stream_bytes, tile_height)
+    accounting = memoized(
+        tiled, key,
+        lambda: _b_stationary_accounting(
+            tiled, k, config, traversal, a_stream_bytes, tile_height
+        ),
+    )
+    return accounting.result(out)
+
+
+def _b_stationary_accounting(
+    tiled, k: int, config: GPUConfig, traversal: str,
+    a_stream_bytes: float | None, tile_height: int,
+) -> Accounting:
     effects = traversal_effects(traversal)
     is_dcsr = isinstance(tiled, TiledDCSR)
 
@@ -121,11 +149,9 @@ def b_stationary_spmm(
 
     # ---- C traffic: atomic partial sums -------------------------------
     updates = sum(p["nz_rows"] for p in profiles) * k
-    rows_all, _, _ = tiled.to_coo_arrays()
-    unique_c_rows = unique_index_count(rows_all, len(rows_all))
     c_traf = c_atomic_traffic(
         updates=updates,
-        unique_rows=unique_c_rows,
+        unique_rows=_unique_rows(tiled),
         dense_cols=k,
         llc_bytes=llc,
         cacheable=effects.c_cacheable,
@@ -151,8 +177,7 @@ def b_stationary_spmm(
         )
 
     n_tiles = len(profiles) * max(1, -(-n_rows // tile_height))
-    return kernel_result(
-        out,
+    return kernel_accounting(
         traffic,
         mix,
         tiled.nnz,
@@ -230,12 +255,11 @@ def a_stationary_spmm(
         grouped_row_activity(
             config, n_b_column_groups(k), p["lengths"], empty, k, mix=mix
         )
-    return kernel_result(
-        out,
+    return kernel_accounting(
         traffic,
         mix,
         tiled.nnz,
         k,
         "a_stationary",
         extras={"n_kernel_launches": 1, "atomic_updates": updates},
-    )
+    ).result(out)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
+from ..formats.base import drop_container_memo
 from ..formats.convert import FormatStore
 from ..gpu.config import GPUConfig
 from .plan import Capabilities, SpmmPlan, SpmmRequest
@@ -84,11 +85,14 @@ def invalidate_fingerprint(matrix) -> None:
     The memo's shape/nnz sanity check only catches mutations that change
     either; editing values in place changes neither, so mutating callers
     must invalidate explicitly before the next cache-keyed operation.
+    The container's kernel memo (prepared operand, accounting; see
+    :func:`~repro.formats.base.container_memo`) goes with it.
     """
     try:
         del matrix._repro_fingerprint
     except AttributeError:
         pass
+    drop_container_memo(matrix)
 
 
 @dataclass

@@ -122,14 +122,33 @@ class TestHelpers:
 
 
 class TestUniqueIndexCountMemo:
-    def test_counts_and_memo_hit(self):
-        from repro.kernels.common import _UNIQUE_COUNT_MEMO, unique_index_count
+    def test_container_memo_counts_once_across_k(self, medium_csr, monkeypatch):
+        """The k-independent count is kept on the container: a run at a
+        new k (a fused window's total) reuses it instead of rescanning."""
+        import pickle
 
-        idx = np.array([3, 1, 3, 7, 1])
-        assert unique_index_count(idx, idx.size) == 3
-        assert id(idx) in _UNIQUE_COUNT_MEMO
-        # second call is served from the memo, same answer
-        assert unique_index_count(idx, idx.size) == 3
+        from repro.formats.base import container_memo
+        from repro.gpu import get_config
+        from repro.kernels import common, csr_spmm
+
+        scans = []
+        count = common.unique_index_count
+
+        def counting(idx, nnz):
+            scans.append(nnz)
+            return count(idx, nnz)
+
+        monkeypatch.setattr(common, "unique_index_count", counting)
+        config = get_config("gv100")
+        rng = np.random.default_rng(0)
+        for k in (16, 48):
+            csr_spmm(medium_csr, rng.random((medium_csr.n_cols, k)), config)
+        assert scans == [medium_csr.nnz]
+        expected = int(np.unique(medium_csr.col_idx).size)
+        assert container_memo(medium_csr)["unique_cols"] == expected
+        # the memo never rides along in a pickle
+        clone = pickle.loads(pickle.dumps(medium_csr))
+        assert container_memo(clone) == {}
 
     def test_distinct_arrays_do_not_collide(self):
         from repro.kernels.common import unique_index_count
@@ -141,28 +160,12 @@ class TestUniqueIndexCountMemo:
         assert unique_index_count(a, 3) == 1
 
     def test_empty_is_zero_and_unmemoized(self):
-        from repro.kernels.common import _UNIQUE_COUNT_MEMO, unique_index_count
+        from repro.kernels import common
 
         idx = np.array([], dtype=np.int64)
-        assert unique_index_count(idx, 0) == 0
-        # id() can be recycled from a collected array, so only assert the
-        # memo holds no live entry for THIS array
-        hit = _UNIQUE_COUNT_MEMO.get(id(idx))
-        assert hit is None or hit[0]() is not idx
-
-    def test_memo_stays_bounded(self):
-        from repro.kernels.common import (
-            _UNIQUE_COUNT_MEMO,
-            _UNIQUE_COUNT_MEMO_MAX,
-            unique_index_count,
-        )
-
-        keep = []
-        for i in range(_UNIQUE_COUNT_MEMO_MAX + 8):
-            arr = np.array([i, i])
-            keep.append(arr)
-            unique_index_count(arr, 2)
-        assert len(_UNIQUE_COUNT_MEMO) <= _UNIQUE_COUNT_MEMO_MAX
+        assert common.unique_index_count(idx, 0) == 0
+        # the count holds no process-wide state; memos live on containers
+        assert not hasattr(common, "_UNIQUE_COUNT_MEMO")
 
 
 class TestAgainstEventDrivenCache:

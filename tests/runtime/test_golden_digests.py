@@ -1,0 +1,139 @@
+"""Record digests pinned across commits.
+
+Every other digest-parity test compares two paths of the *same* code, so
+a change that alters what a record says (a stale memoized counter, a
+reordered accumulation) passes them as long as every path changes
+alike.  This module compares against ``golden_digests.json``, written by
+an earlier commit, so such a change fails here.
+
+Coverage: small seeded matrices from both planner branches (CSR and
+DCSR C-stationary winners, online tiled DCSR) plus a COO input with
+duplicate coordinates; k in {16, 64}; the service's three ladder rungs;
+every installed backend; a cold run followed by a plan-cache hit on the
+same runtime.
+
+Regenerate only when a change to records is intended, and say why in
+CHANGES.md::
+
+    PYTHONPATH=src python tests/runtime/test_golden_digests.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.formats import COOMatrix
+from repro.gpu import get_config
+from repro.kernels.backends import available_backends
+from repro.matrices import from_spec
+from repro.runtime import SpmmRequest, SpmmRuntime
+from repro.service import LADDER
+
+FIXTURE = Path(__file__).with_name("golden_digests.json")
+
+#: name -> generator spec; the comments give the plan at rung 0
+SPECS = {
+    "uniform": "uniform:256:256:0.02:3",  # c_stationary_best, CSR wins
+    "block_diag_small": "block_diagonal:512:512:0.02:3",  # DCSR wins
+    "block_diag_online": "block_diagonal:1024:1024:0.01:3",  # online tiled
+}
+KS = (16, 64)
+GPU = "gv100"
+
+
+def coo_with_duplicates() -> COOMatrix:
+    """200 x 180 COO whose triplets repeat coordinates, unsorted."""
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 200, size=900)
+    cols = rng.integers(0, 180, size=900)
+    # repeat a slice of the triplets so duplicates are guaranteed
+    rows = np.concatenate([rows, rows[:150]])
+    cols = np.concatenate([cols, cols[:150]])
+    vals = rng.uniform(-1.0, 1.0, size=rows.size).astype(np.float32)
+    return COOMatrix((200, 180), rows, cols, vals)
+
+
+def build_matrices() -> dict:
+    """Fresh matrix objects, so a cold run shares no memo with another."""
+    matrices = {name: from_spec(spec) for name, spec in SPECS.items()}
+    matrices["coo_duplicates"] = coo_with_duplicates()
+    return matrices
+
+
+def run_case(runtime, matrix, k: int, rung: int) -> tuple[str, bool]:
+    """(digest, cache_hit) of one run at ``rung``, as the service runs it."""
+    request = SpmmRequest(matrix, k=k, seed=k + 1)
+    caps = LADDER[rung]
+    if caps is None:
+        outcome = runtime.run(request)
+    else:
+        outcome = runtime.run(request, capabilities=caps, enforce_ladder=True)
+    return outcome.record.digest(), outcome.cache_hit
+
+
+def compute_digests(backend: str) -> dict:
+    """``"name|k|rung" -> [cold digest, hit digest]`` on ``backend``."""
+    runtime = SpmmRuntime(get_config(GPU), backend=backend)
+    out = {}
+    for name, matrix in build_matrices().items():
+        for k in KS:
+            for rung in range(len(LADDER)):
+                cold, cold_hit = run_case(runtime, matrix, k, rung)
+                warm, warm_hit = run_case(runtime, matrix, k, rung)
+                assert not cold_hit and warm_hit, (name, k, rung)
+                out[f"{name}|{k}|{rung}"] = [cold, warm]
+    return out
+
+
+def load_fixture() -> dict:
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_digests_match_fixture(backend):
+    expected = load_fixture()["digests"]
+    got = compute_digests(backend)
+    assert set(got) == set(expected)
+    wrong = {case: (pair, expected[case]) for case, pair in got.items()
+             if pair != [expected[case], expected[case]]}
+    assert not wrong
+
+
+def test_fixture_covers_both_planner_branches():
+    """The pinned cases still exercise what the module docstring says."""
+    runtime = SpmmRuntime(get_config(GPU))
+    variants = set()
+    for matrix in build_matrices().values():
+        for rung in range(len(LADDER)):
+            caps = LADDER[rung]
+            request = SpmmRequest(matrix, k=KS[0], seed=KS[0] + 1)
+            outcome = (runtime.run(request) if caps is None else
+                       runtime.run(request, capabilities=caps,
+                                   enforce_ladder=True))
+            variants.add(outcome.run.name)
+    assert {"csr", "dcsr", "online_tiled_dcsr", "offline_tiled_dcsr",
+            "untiled_csr"} <= variants
+
+
+def _write() -> None:
+    digests = compute_digests("scipy")
+    doc = {
+        "about": "record digests per 'matrix|k|rung'; "
+                 "see tests/runtime/test_golden_digests.py",
+        "digests": {case: pair[0] for case, pair in sorted(digests.items())},
+    }
+    with open(FIXTURE, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_digests.py --write")
+    _write()
