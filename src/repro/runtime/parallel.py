@@ -53,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+import weakref
 from dataclasses import dataclass
 
 from ..errors import ConfigError, SupervisionError
@@ -64,8 +65,10 @@ from .supervisor import FailedItem, SupervisionPolicy, WorkerSupervisor
 
 #: Worker-process-local memo: matrix fingerprint → FormatStore.  Populated
 #: by each worker as it encounters new matrices (works under any start
-#: method — no copy-on-write assumption).
-_WORKER_STORES: dict = {}
+#: method — no copy-on-write assumption).  Weak values: a store lives
+#: exactly as long as some entry of the worker's bounded plan cache uses
+#: it, so a resident worker does not keep every matrix it ever served.
+_WORKER_STORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 #: Worker-process-local memo: (gpu name, ssf threshold) → SpmmRuntime, so
 #: one worker process keeps a single plan cache across all its batch items.
@@ -165,9 +168,12 @@ def _handle_to_request(handle: PlanHandle) -> tuple[SpmmRequest, list]:
 
     Operands shipped through the operand plane are attached as zero-copy
     shared-memory views (memoized per worker process); pickled fallbacks
-    are used verbatim.  Returns ``(request, attach_events)`` where each
-    event is ``(fresh, nbytes)`` for the ``store.attaches`` /
-    ``store.attach_hits`` counters.
+    are used verbatim.  A seeded operand (none shipped) is materialized
+    per request and passed as the explicit ``dense``: the runtime would
+    memoize it in the plan-cache store, so a resident worker serving
+    fresh seeds would keep every operand it ever served.  Returns
+    ``(request, attach_events)`` where each event is ``(fresh, nbytes)``
+    for the ``store.attaches`` / ``store.attach_hits`` counters.
     """
     from ..store.registry import attach_dense, attach_matrix
     from .cache import seed_fingerprint
@@ -191,6 +197,8 @@ def _handle_to_request(handle: PlanHandle) -> tuple[SpmmRequest, list]:
         ssf_threshold=handle.ssf_threshold,
         backend=handle.backend,
     )
+    if request.dense is None:
+        request.dense = request.resolve_dense()
     return request, events
 
 

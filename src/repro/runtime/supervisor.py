@@ -63,9 +63,10 @@ CHAOS_CORRUPT = "corrupt"
 #: per-request deadline is what ends it.
 _CHAOS_HANG_S = 3600.0
 
-#: Supervisor event-loop poll quantum (seconds).  Results wake the loop
-#: immediately; this only bounds how late a deadline/heartbeat check or a
-#: backoff expiry can fire.
+#: Supervisor event-loop poll quantum (seconds).  Worker results,
+#: :meth:`WorkerSupervisor.wake` and the stream's ``next_deadline`` wake
+#: the loop on time; this only bounds how late a request-deadline or
+#: heartbeat check or a backoff expiry can fire.
 _TICK_S = 0.02
 
 #: Grace given to workers to exit on the shutdown sentinel before SIGKILL.
@@ -75,7 +76,8 @@ _SHUTDOWN_GRACE_S = 2.0
 #: right now, keep the loop (heartbeats, deadlines, retries) ticking".
 #: Unlike ``StopIteration`` it does not end the run — the resident service
 #: front end uses this to feed an open-ended request stream to one
-#: long-lived supervisor.
+#: long-lived supervisor, and calls :meth:`WorkerSupervisor.wake` when the
+#: stream has work again.
 NO_ITEM = object()
 
 
@@ -394,10 +396,31 @@ class WorkerSupervisor:
         self.child_close_fds: tuple = ()
         #: counters for the last :meth:`run` (see RELIABILITY.md)
         self.stats: dict[str, int] = dict.fromkeys(self.STAT_KEYS, 0)
+        #: write end of the active run's wake pipe (None outside a run);
+        #: reentrant lock, so a signal handler that wakes cannot deadlock
+        #: on a wake its own thread was in the middle of
+        self._wake_w: int | None = None
+        self._wake_lock = threading.RLock()
+
+    def wake(self) -> None:
+        """Cut the run's current wait short: the item stream has new work.
+
+        Thread- and signal-safe: writes one byte to a non-blocking pipe
+        that :meth:`run` waits on next to its workers' result pipes.  A
+        no-op outside a run, whose first pull already sees any work
+        queued before it started.
+        """
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # pipe full: a wake is already pending
 
     # ----------------------------------------------------------- the loop
     def run(self, items, *, tracer=NULL_TRACER, on_payload=None,
-            on_failure=None):
+            on_failure=None, next_deadline=None):
         """Execute every ``(index, item)``; returns ``(payloads, failures)``.
 
         ``payloads`` maps index → the task function's return value;
@@ -409,6 +432,13 @@ class WorkerSupervisor:
         to end.  Items are pulled from the iterable lazily under the
         admission window; an iterable may yield :data:`NO_ITEM` to keep
         the loop alive while it waits for more work (streaming mode).
+
+        A streaming caller calls :meth:`wake` when it has work again, and
+        may pass ``next_deadline()``: the monotonic time at which the
+        stream will have an item without being woken (e.g. a coalescing
+        window closing), or None.  While the admission window has room,
+        the loop's wait ends by then; when it is full the deadline cannot
+        be acted on, so it never shortens the wait (no busy spin).
         """
         policy = self.policy
         ctx = multiprocessing.get_context(policy.resolve_start_method())
@@ -508,6 +538,11 @@ class WorkerSupervisor:
             if not exhausted or len(resolved) < seen:
                 spawn(now, respawn=True)
 
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_r, False)
+        os.set_blocking(wake_w, False)
+        with self._wake_lock:
+            self._wake_w = wake_w
         try:
             for _ in range(self.workers):
                 spawn(time.monotonic(), respawn=False)
@@ -521,7 +556,7 @@ class WorkerSupervisor:
                         exhausted = True
                         break
                     if task is NO_ITEM:
-                        break  # stream idle; try again next tick
+                        break  # stream idle until a wake or deadline
                     index, item = task
                     seen += 1
                     pending.append((index, 0, item, now))
@@ -546,8 +581,21 @@ class WorkerSupervisor:
                         pending.appendleft((index, attempt, item, now))
                         continue
                     stats["dispatched"] += 1
-                # 3. drain worker messages (blocking up to one tick).
-                for msg in self._drain(workers):
+                # 3. drain worker messages, waiting at most one tick — and
+                # no later than the stream's next deadline while there is
+                # room to admit what it will yield.
+                timeout = _TICK_S
+                if (
+                    next_deadline is not None
+                    and not exhausted
+                    and seen - len(resolved) < window
+                ):
+                    due = next_deadline()
+                    if due is not None:
+                        timeout = min(
+                            timeout, max(0.0, due - time.monotonic())
+                        )
+                for msg in self._drain(workers, timeout, wake_r):
                     tag, wid, index, attempt, body = msg
                     worker = workers.get(wid)
                     if tag == _MSG_HEARTBEAT:
@@ -613,6 +661,10 @@ class WorkerSupervisor:
                             kill=True,
                         )
         finally:
+            with self._wake_lock:
+                self._wake_w = None
+            os.close(wake_w)
+            os.close(wake_r)
             self._shutdown(workers)
         return payloads, failures
 
@@ -628,19 +680,25 @@ class WorkerSupervisor:
         return None
 
     @staticmethod
-    def _drain(workers: dict) -> list:
-        """Every pending worker message, blocking at most one tick.
+    def _drain(workers: dict, timeout: float, wake_r: int) -> list:
+        """Every pending worker message, blocking at most ``timeout``.
 
-        Waits on all workers' private result pipes at once; a dead
+        Waits on all workers' private result pipes and the wake pipe at
+        once; a wake only ends the wait (its bytes are discarded before
+        the loop pulls from the stream again, so none is lost).  A dead
         worker's broken pipe raises ``EOFError``/``OSError`` here, which
         is simply skipped — the liveness pass reaps the process itself.
         """
         messages = []
-        by_conn = {w.result_r: w for w in workers.values()}
-        if not by_conn:
-            time.sleep(_TICK_S)
-            return messages
-        for conn in _conn_wait(list(by_conn), timeout=_TICK_S):
+        conns = [w.result_r for w in workers.values()]
+        for conn in _conn_wait(conns + [wake_r], timeout=timeout):
+            if conn == wake_r:
+                try:
+                    while os.read(wake_r, 4096):
+                        pass
+                except BlockingIOError:
+                    pass
+                continue
             try:
                 while conn.poll():
                     messages.append(conn.recv())

@@ -55,6 +55,11 @@ OPS = ("submit", "health", "stats", "selfcheck", "drain")
 #: Queue lanes, in dispatch-priority order.
 LANES = ("interactive", "batch")
 
+#: Longest request line the server reads, in bytes (asyncio's default
+#: stream limit).  A longer line gets one 400 and the connection closes:
+#: the rest of that line can no longer be framed.
+MAX_LINE_BYTES = 2 ** 16
+
 
 class ProtocolError(ReproError):
     """A request line the service cannot act on (answered with 400)."""

@@ -17,6 +17,11 @@ server.  One process, two cooperating threads:
   to serial runs, and worker crash/hang/retry/quarantine semantics are
   inherited wholesale from the supervisor.
 
+Dispatch is event-driven: every lane append and every drain request
+calls :meth:`~repro.runtime.supervisor.WorkerSupervisor.wake`, and the
+supervisor bounds its wait by the earliest coalescing-window deadline,
+so a request never waits on a poll tick.
+
 Completions flow back on the supervisor's ``on_payload``/``on_failure``
 callbacks (dispatcher thread), which journal the record, update the
 admission EWMAs, and resolve the client future via
@@ -48,7 +53,7 @@ import os
 import signal
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
 from ..errors import ReproError
@@ -80,6 +85,7 @@ from .admission import AdmissionConfig, AdmissionController, N_RUNGS
 from .coalesce import CoalescingScheduler
 from .protocol import (
     LANES,
+    MAX_LINE_BYTES,
     STATUS_BAD_REQUEST,
     STATUS_FAILED,
     STATUS_OK,
@@ -238,6 +244,9 @@ class SpmmService:
             heal=self._heal,
         )
         self._runtimes: dict[str, SpmmRuntime] = {}
+        #: matrices built from generator specs, LRU-bounded by
+        #: ``cache_entries`` (event-loop thread only; see _matrix)
+        self._matrices: OrderedDict = OrderedDict()
         self._lanes: dict[str, deque] = {lane: deque() for lane in LANES}
         self._inflight: dict[int, _Pending] = {}
         #: the coalescing window (docs/SERVICE.md); None = disabled
@@ -249,6 +258,11 @@ class SpmmService:
             if config.coalesce and config.coalesce_window_ms > 0
             else None
         )
+        #: closed windows not yet handed to the supervisor, oldest first
+        self._closed: deque = deque()
+        #: per lane: requests out of their lane but not yet dispatched (in
+        #: an open or closed window) — still backlog for admission
+        self._parked: dict[str, int] = dict.fromkeys(LANES, 0)
         #: synthetic fused dispatch index -> member _Pending entries
         self._fused: dict[int, tuple] = {}
         self._lock = threading.Lock()
@@ -280,7 +294,9 @@ class SpmmService:
         except OSError:
             pass
         server = await asyncio.start_unix_server(
-            self._handle_connection, path=self.config.socket_path
+            self._handle_connection,
+            path=self.config.socket_path,
+            limit=MAX_LINE_BYTES,
         )
         # Forked workers must not inherit the listening socket: an
         # orphaned worker would keep the accept backlog alive after a
@@ -334,10 +350,12 @@ class SpmmService:
     def request_drain(self) -> None:
         """Stop admitting; finish queued + in-flight work; then stop.
 
-        Idempotent and thread/signal-safe: it only flips a flag the
-        dispatcher polls every tick.
+        Idempotent and thread/signal-safe: it flips a flag and wakes the
+        dispatcher, which flushes open windows and ends once the lanes
+        and in-flight work are empty.
         """
         self._draining = True
+        self.supervisor.wake()
 
     def drain_summary(self) -> dict:
         """What a drain (or SIGTERM) reports back."""
@@ -372,7 +390,7 @@ class SpmmService:
         self.state.compact_accepted(outstanding)
         for intent in outstanding:
             try:
-                matrix = from_spec(str(intent["matrix"]))
+                matrix = self._matrix(str(intent["matrix"]))
                 request = SpmmRequest(
                     matrix,
                     k=int(intent["k"]),
@@ -454,73 +472,94 @@ class SpmmService:
         return runtime
 
     def _stream(self):
-        """The supervisor's item stream: lanes in priority order, or idle.
+        """The supervisor's item stream: closed windows, then lanes, or idle.
 
-        Coalescing-eligible pops (rung 0, coalescing on, not draining)
-        are parked in the :class:`~.coalesce.CoalescingScheduler` instead
-        of dispatching immediately; windows that close — by size on the
-        way in, by deadline on a later pass — emit as one fused item.
+        Each pull first parks every queued coalescing-eligible request
+        (rung 0, coalescing on, not draining) in the
+        :class:`~.coalesce.CoalescingScheduler` and closes the windows
+        whose deadline has passed; closed windows, size-closed ones
+        included, then dispatch oldest first, each as one fused item.
         Everything else (demoted rungs, deadline-demoted requests,
-        coalescing off) bypasses the window and dispatches solo.
+        coalescing off, a drain's remainder) stays in its lane until the
+        supervisor has room, so the lanes keep their priority order, and
+        then dispatches solo.  A drain flushes every open window.
 
-        Ends (StopIteration) only when draining with empty lanes, an
-        empty window, and no in-flight work — which is exactly when the
-        supervisor run, and with it the dispatcher thread, finishes.
+        Ends (StopIteration) only when draining with empty lanes, no
+        parked request, and no in-flight work — which is exactly when
+        the supervisor run, and with it the dispatcher thread, finishes.
         """
         while True:
-            pend = None
-            windows: list = []
-            bypass = False
             with self._lock:
-                now = time.monotonic()
-                if self._coalescer is not None:
-                    windows = self._coalescer.pop_ready(
-                        now, flush_all=self._draining
-                    )
-                if not windows:
-                    for lane in LANES:
-                        if self._lanes[lane]:
-                            pend = self._lanes[lane].popleft()
-                            break
-                    if pend is None:
-                        if (
-                            self._draining
-                            and not self._inflight
-                            and (
-                                self._coalescer is None
-                                or not self._coalescer.pending
-                            )
-                        ):
-                            return
-                    elif (
-                        self._coalescer is not None
-                        and pend.rung == 0
-                        and not self._draining
-                    ):
-                        windows = self._coalescer.add(
+                draining = self._draining
+                members = self._next_unit(time.monotonic(), draining)
+                if members is None and draining and not self._inflight:
+                    return
+            if members is None:
+                yield NO_ITEM
+                continue
+            item = self._emit(members)
+            if item is not None:
+                yield item
+
+    def _next_unit(self, now: float, draining: bool):
+        """The members of the next dispatch unit, or None.
+
+        Caller holds ``self._lock``.  The unit's members are registered
+        in flight here, under the same lock that took them out of the
+        lane or window, so admission never loses sight of them.
+        """
+        coalescer = self._coalescer
+        if coalescer is not None:
+            if not draining:
+                for lane in LANES:
+                    queue = self._lanes[lane]
+                    for _ in range(len(queue)):
+                        pend = queue.popleft()
+                        if pend.rung != 0:
+                            queue.append(pend)  # keeps its lane order
+                            continue
+                        self._parked[lane] += 1
+                        self._closed.extend(coalescer.add(
                             self._fusion_key(pend),
                             pend,
                             pend.request.dense_cols,
                             now,
-                        )
-                        pend = None
-                    else:
-                        bypass = self._coalescer is not None
-            if windows:
-                for _key, members in windows:
-                    item = self._emit_window(members)
-                    if item is not None:
-                        yield item
-                continue
-            if pend is None:
-                yield NO_ITEM
-                continue
-            if bypass:
+                        ))
+            self._closed.extend(coalescer.pop_ready(now, flush_all=draining))
+        if self._closed:
+            _key, members = self._closed.popleft()
+            for pend in members:
+                self._parked[pend.lane] -= 1
+        else:
+            queue = next((self._lanes[lane] for lane in LANES
+                          if self._lanes[lane]), None)
+            if queue is None:
+                return None
+            members = [queue.popleft()]
+            if coalescer is not None:
                 # demoted rung (or drain flush): never held for company
                 self.metrics.counter("coalesce.bypass").inc()
-            item = self._emit_solo(pend)
-            if item is not None:
-                yield item
+        for pend in members:
+            self._inflight[pend.index] = pend
+        return members
+
+    def _next_deadline(self) -> float | None:
+        """When the earliest open coalescing window closes (supervisor seam)."""
+        if self._coalescer is None:
+            return None
+        with self._lock:
+            return self._coalescer.next_deadline()
+
+    def _queued(self) -> tuple[int, int]:
+        """``(total, batch lane)`` admitted requests not yet dispatched.
+
+        Caller holds ``self._lock``.  Counts every such request wherever
+        it waits — in a lane, an open window, or a closed window not yet
+        handed to the supervisor — so backpressure sees the whole backlog.
+        """
+        total = sum(len(q) for q in self._lanes.values())
+        total += sum(self._parked.values())
+        return total, len(self._lanes["batch"]) + self._parked["batch"]
 
     @staticmethod
     def _fusion_key(pend: _Pending) -> tuple:
@@ -532,47 +571,22 @@ class SpmmService:
             pend.request.backend,
         )
 
-    def _emit_solo(self, pend: _Pending):
-        """Dispatch one request unfused; None when planning failed."""
-        with self._lock:
-            self._inflight[pend.index] = pend
-        pend.dispatched_at = time.monotonic()
-        try:
-            handle = self._plan_handle(pend)
-        except Exception as exc:  # planning failed: structured 500
-            self._on_failure(
-                FailedItem(
-                    index=pend.index,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=1,
-                    phase="plan",
-                )
-            )
-            return None
-        self.metrics.counter("coalesce.matrix_passes").inc()
-        return pend.index, handle
-
-    def _emit_window(self, members: list):
-        """Dispatch one closed window: fused for 2+, solo for a singleton.
+    def _emit(self, members: list):
+        """Dispatch one unit: fused for 2+ planned members, else solo.
 
         Members are planned individually (a member whose planning fails
         gets its structured 500 without poisoning the window); survivors
-        share one synthetic dispatch index — the supervisor treats the
-        window as a unit, so retry and quarantine apply to the whole
-        group.  None when every member failed planning.
+        of a window share one synthetic dispatch index — the supervisor
+        treats the window as a unit, so retry and quarantine apply to the
+        whole group.  None when every member failed planning.
         """
-        if len(members) == 1:
-            return self._emit_solo(members[0])
         now = time.monotonic()
         planned: list = []
         for pend in members:
-            with self._lock:
-                self._inflight[pend.index] = pend
             pend.dispatched_at = now
             try:
                 planned.append((pend, self._plan_handle(pend)))
-            except Exception as exc:
+            except Exception as exc:  # planning failed: structured 500
                 self._on_failure(
                     FailedItem(
                         index=pend.index,
@@ -584,9 +598,9 @@ class SpmmService:
                 )
         if not planned:
             return None
+        self.metrics.counter("coalesce.matrix_passes").inc()
         if len(planned) == 1:
             pend, handle = planned[0]
-            self.metrics.counter("coalesce.matrix_passes").inc()
             return pend.index, handle
         with self._lock:
             fused_index = self._next_index
@@ -595,7 +609,6 @@ class SpmmService:
         fused = FusedPlanHandle(
             index=fused_index, handles=tuple(h for _, h in planned)
         )
-        self.metrics.counter("coalesce.matrix_passes").inc()
         self.metrics.counter("coalesce.fused_windows").inc()
         self.metrics.counter("coalesce.fused_requests").inc(len(planned))
         self.metrics.counter("coalesce.passes_saved").inc(len(planned) - 1)
@@ -691,6 +704,7 @@ class SpmmService:
                 self._stream(),
                 on_payload=self._on_payload,
                 on_failure=self._on_failure,
+                next_deadline=self._next_deadline,
             )
         except BaseException as exc:  # supervisor itself died: fail all
             self._dispatch_error = f"{type(exc).__name__}: {exc}"
@@ -700,6 +714,14 @@ class SpmmService:
                 for lane in LANES:
                     orphans.extend(self._lanes[lane])
                     self._lanes[lane].clear()
+                    self._parked[lane] = 0
+                if self._coalescer is not None:
+                    self._closed.extend(
+                        self._coalescer.pop_ready(0.0, flush_all=True)
+                    )
+                for _key, members in self._closed:
+                    orphans.extend(members)
+                self._closed.clear()
             for pend in orphans:
                 self._on_orphan(pend)
         finally:
@@ -889,7 +911,18 @@ class SpmmService:
         conn_tasks: set = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit: asyncio dropped what it had
+                    # buffered, so the connection has lost its framing.
+                    await self._reply(writer, wlock, {
+                        "status": STATUS_BAD_REQUEST,
+                        "error": "request line too large (limit "
+                                 f"{MAX_LINE_BYTES} bytes)",
+                        "id": "",
+                    })
+                    break
                 if not line:
                     break
                 task = asyncio.ensure_future(
@@ -933,6 +966,11 @@ class SpmmService:
                 "error": f"{type(exc).__name__}: {exc}",
             }
         resp["id"] = rid
+        await self._reply(writer, wlock, resp)
+
+    @staticmethod
+    async def _reply(writer, wlock, resp: dict) -> None:
+        """Write one response frame (serialized per connection)."""
         async with wlock:
             try:
                 writer.write(encode_message(resp))
@@ -941,6 +979,27 @@ class SpmmService:
                 pass  # client hung up; admitted work still completes
 
     # ------------------------------------------------------------ handlers
+    def _matrix(self, spec: str):
+        """The matrix ``spec`` names, built once per generator spec.
+
+        A generator spec always yields the same matrix, so its container
+        (with its memoized fingerprint) is kept in an LRU of at most
+        ``cache_entries`` specs and shared by every request naming it.
+        ``.mtx`` paths are read on every call: the file can change.
+        Event-loop thread only (``_recover`` runs there before serving).
+        """
+        if spec.endswith(".mtx"):
+            return from_spec(spec)
+        matrix = self._matrices.get(spec)
+        if matrix is not None:
+            self._matrices.move_to_end(spec)
+            return matrix
+        matrix = from_spec(spec)
+        self._matrices[spec] = matrix
+        if len(self._matrices) > self.config.cache_entries:
+            self._matrices.popitem(last=False)
+        return matrix
+
     async def _op_submit(self, doc: dict) -> dict:
         if self._draining:
             return {
@@ -949,7 +1008,7 @@ class SpmmService:
             }
         req = parse_submit(doc)
         try:
-            matrix = from_spec(req.matrix_spec)
+            matrix = self._matrix(req.matrix_spec)
             request = SpmmRequest(
                 matrix, k=req.k, seed=req.seed, tile_width=req.tile_width
             )
@@ -959,8 +1018,7 @@ class SpmmService:
             request, self.gpu_config, self.ssf_threshold
         )
         with self._lock:
-            queued_total = sum(len(q) for q in self._lanes.values())
-            queued_batch = len(self._lanes["batch"])
+            queued_total, queued_batch = self._queued()
             backlog = queued_total + len(self._inflight)
         rung = self.admission.choose_rung(req.deadline_s, backlog=backlog)
         if rung > 0:
@@ -1028,6 +1086,7 @@ class SpmmService:
                 enqueued_at=time.monotonic(),
             )
             self._lanes[req.lane].append(pend)
+        self.supervisor.wake()
         self.metrics.counter("service.admitted").inc()
         return await future
 

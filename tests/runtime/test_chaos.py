@@ -32,6 +32,7 @@ from repro.runtime import (
     SupervisionPolicy,
     WorkerSupervisor,
 )
+from repro.runtime.supervisor import NO_ITEM
 from repro.telemetry import Tracer
 
 #: Fast-failure policy shared by most tests: short backoff, two retries.
@@ -76,6 +77,11 @@ def run_chaos(requests, chaos, *, workers=2, tracer=None, pol=None, **kw):
 # --------------------------------------------------- supervisor-level chaos
 def _square(ctx, item):
     return item * item
+
+
+def _nap(ctx, item):
+    time.sleep(item)
+    return item
 
 
 def _probe_fd_open(ctx, item):
@@ -191,6 +197,30 @@ class TestSupervisor:
         assert failures == [] and len(payloads) == 40
         # the generator was consumed incrementally, not slurped up front
         assert pulled == list(range(40))
+
+    def test_due_deadline_never_spins_while_window_is_full(self):
+        # The stream reports a deadline that is always due, but the one
+        # worker is busy and the window holds one item: the supervisor
+        # cannot act on it, so it must keep waiting on its pipes instead
+        # of looping with a zero timeout.
+        done = []
+
+        def stream():
+            yield 0, 0.6
+            while not done:
+                yield NO_ITEM
+
+        supervisor = WorkerSupervisor(
+            _nap, None, workers=1,
+            policy=policy(max_pending=1, heartbeat_interval_s=0),
+        )
+        cpu0 = time.process_time()
+        payloads, failures = supervisor.run(
+            stream(), on_payload=lambda i, p: done.append(i),
+            next_deadline=lambda: 0.0,
+        )
+        assert failures == [] and payloads == {0: 0.6}
+        assert time.process_time() - cpu0 < 0.3
 
     def test_unknown_chaos_kind_rejected(self):
         with pytest.raises(ConfigError, match="chaos"):

@@ -6,13 +6,23 @@ parent-side plan-cache bookkeeping matches a serial batch, and when the
 parent traces, worker metrics and span forests merge into its tracer.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.gpu import GV100
 from repro.matrices import uniform_random
-from repro.runtime import ParallelExecutor, SpmmRequest, SpmmRuntime
+from repro.runtime import (
+    ParallelExecutor,
+    PlanCache,
+    RunRecord,
+    SpmmRequest,
+    SpmmRuntime,
+    matrix_fingerprint,
+)
+from repro.runtime import parallel as worker
 from repro.telemetry import Tracer
 
 
@@ -105,6 +115,48 @@ class TestTelemetryMerge:
         executor = ParallelExecutor(runtime, workers=2)
         executor.run_batch(requests)
         assert list(runtime.tracer.iter_spans()) == []
+
+
+class TestWorkerMemory:
+    """A resident worker's memory follows its bounded plan cache."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_worker_state(self, monkeypatch):
+        # empty memos of the module's own types, as in a fresh worker
+        monkeypatch.setattr(worker, "_WORKER_STORES",
+                            type(worker._WORKER_STORES)())
+        monkeypatch.setattr(worker, "_WORKER_RUNTIMES", {})
+
+    @staticmethod
+    def handle_for(request, index=0):
+        plan, _, _ = SpmmRuntime(GV100).plan(request)
+        return worker.PlanHandle(
+            index=index, plan=plan.to_dict(), matrix=request.matrix,
+            fingerprint=matrix_fingerprint(request.matrix), k=request.k,
+            seed=request.seed, tile_width=request.tile_width,
+            ssf_threshold=None, backend=plan.provenance.get("backend"),
+        )
+
+    def test_seeded_operands_are_not_kept(self):
+        m = uniform_random(96, 96, 0.03, seed=1)
+        for seed in range(5):
+            request = SpmmRequest(m, k=16, seed=seed)
+            record_json, _, _ = worker.execute_handle(
+                (GV100, False), self.handle_for(request, seed)
+            )
+            serial = SpmmRuntime(GV100).run(request).record
+            assert RunRecord.from_json(record_json).digest() == serial.digest()
+        store = worker._WORKER_STORES[matrix_fingerprint(m)]
+        assert not [key for key in store.artifacts
+                    if isinstance(key, tuple) and key[:1] == ("dense",)]
+
+    def test_stores_live_only_as_long_as_plan_cache_entries(self):
+        n = PlanCache().max_entries + 6
+        for i in range(n):
+            request = SpmmRequest(uniform_random(24, 24, 0.1, seed=i), k=4)
+            worker._prepare_worker_item(GV100, self.handle_for(request, i))
+        gc.collect()
+        assert len(worker._WORKER_STORES) <= PlanCache().max_entries
 
 
 class TestValidation:

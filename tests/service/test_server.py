@@ -111,6 +111,19 @@ def test_raw_invalid_json_is_400(service_factory):
     assert resp["id"] == ""
 
 
+def test_oversize_request_line_is_400(service_factory):
+    handle = service_factory()
+    with ServiceClient(handle.socket_path) as client:
+        client.health()  # socket is definitely up
+    line = b'{"op": "health", "pad": "' + b"x" * 70_000 + b'"}\n'
+    resp = json.loads(raw_request(handle.socket_path, line))
+    assert resp["status"] == 400
+    assert "too large" in resp["error"]
+    # only that connection is closed; the server answers a new one
+    with ServiceClient(handle.socket_path) as client:
+        assert client.health()["state"] == "ok"
+
+
 # ------------------------------------------------------------- durability
 def test_restart_answers_from_journal(service_factory):
     first = service_factory(state_name="durable")
