@@ -318,12 +318,9 @@ def cmd_run(args) -> int:
             ("--fail-fast", args.fail_fast),
             ("--request-timeout", args.request_timeout),
             ("--start-method", args.start_method),
-            ("--threads", args.threads),
         ):
             if value:
                 raise ConfigError(f"{flag} requires --batch")
-    if args.threads and args.start_method:
-        raise ConfigError("--threads and --start-method are exclusive")
 
     matrices_in = (
         _parse_batch_file(args.batch)
@@ -351,9 +348,7 @@ def cmd_run(args) -> int:
             fail_fast=args.fail_fast,
             start_method=args.start_method,
         )
-        executor = ParallelExecutor(
-            runtime, workers=args.workers, threads=args.threads
-        )
+        executor = ParallelExecutor(runtime, workers=args.workers)
         batch = [
             request
             for _, request in labeled_requests
@@ -361,12 +356,7 @@ def cmd_run(args) -> int:
         ]
         results = executor.run_batch(
             batch, policy=policy, journal=journal_path, resume=resume,
-            coalesce=(
-                args.coalesce
-                and args.coalesce_window_ms > 0
-                and args.workers > 1
-                and not args.threads
-            ),
+            coalesce=args.coalesce and args.workers > 1,
             coalesce_max_k=args.coalesce_max_k,
         )
         index = 0
@@ -744,21 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
         "with digest-identical records)",
     )
     p.add_argument(
-        "--threads", action="store_true",
-        help="with --batch and --workers N: execute on an in-process "
-        "thread pool over shared operand buffers instead of a process "
-        "pool (no pickling; records stay digest-identical)",
-    )
-    p.add_argument(
         "--no-coalesce", dest="coalesce", action="store_false",
         help="with --batch and process workers: dispatch every item "
         "unfused instead of grouping plan-compatible same-matrix items "
         "into wide-k fused windows (docs/SERVICE.md)",
-    )
-    p.add_argument(
-        "--coalesce-window-ms", type=float, default=5.0, metavar="MS",
-        help="coalescing gate for batch fusion: 0 disables it (a static "
-        "batch has no arrival window — the flag mirrors serve's)",
     )
     p.add_argument(
         "--coalesce-max-k", type=int, default=1024, metavar="K",

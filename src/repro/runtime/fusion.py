@@ -30,17 +30,24 @@ arithmetic is shared.  Member records therefore keep their **unfused
 digests** (``extras["coalesce"]``, the pro-rata attribution of the fused
 plan's traffic/stall/activity counters, is excluded from
 :meth:`~repro.runtime.record.RunRecord.digest`).
+
+``run --batch`` and ``serve`` share the parent side: :func:`fuse` builds
+a window, :func:`fan_out_payload` / :func:`fan_out_failure` split its
+outcome back into per-request ones, and both group by
+:func:`fusion_group_key` through one ``CoalescingScheduler``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
-from .cache import CacheEntry, PlanCache
+from .cache import CacheEntry, PlanCache, matrix_fingerprint
 from .plan import SpmmRequest
 from .record import RunRecord
 
@@ -129,8 +136,7 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
     """
     from ..kernels.common import compute_spmm, fused_results
     from ..kernels.reference import check_operands
-    from ..telemetry import Tracer
-    from .parallel import _prepare_worker_item
+    from .parallel import _item_tracer, _prepare_worker_item, _tracer_payload
 
     config, traced = ctx
     members = [
@@ -142,8 +148,10 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
     # the same object runtime.run() will hand the kernels, which is what
     # makes identity-keyed result injection sound.
     denses = []
+    stores = []
     for handle, runtime, request, capabilities, _ in members:
         _, store, _ = runtime.plan(request, capabilities)
+        stores.append(store)
         denses.append(runtime._resolve_dense(request, store))
 
     base_matrix = members[0][2].matrix
@@ -169,8 +177,11 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
     total_k = sum(int(d.shape[1]) for d in denses)
 
     wide = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    # THE single matrix-stream pass for the whole window.
-    c_wide = compute_spmm(base_matrix, wide, backend=backend)
+    # THE single matrix-stream pass for the whole window, on the store's
+    # CSR container the members' solo kernels compute on: a COO request
+    # matrix with duplicate coordinates canonicalizes differently (float64
+    # duplicate sums vs the conversion's float32 rounding).
+    c_wide = compute_spmm(stores[0].get("csr"), wide, backend=backend)
 
     # Identity-keyed result table: the wide operand (for the fused
     # accounting run) plus each member's operand mapped to its column
@@ -202,9 +213,8 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
             # store so its kernels reuse the conversions the members
             # already materialized.
             fused_plan = lead_runtime.planner.plan(fused_request, lead_caps)
-            _, member_store, _ = lead_runtime.plan(lead_request, lead_caps)
             lead_runtime.cache.insert(
-                fused_key, CacheEntry(plan=fused_plan, store=member_store)
+                fused_key, CacheEntry(plan=fused_plan, store=stores[0])
             )
         fused_outcome = lead_runtime.run(
             fused_request, capabilities=lead_caps,
@@ -224,16 +234,8 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
 
         member_payloads = []
         for handle, runtime, request, capabilities, attach_events in members:
-            tracer = Tracer() if traced else None
+            tracer = _item_tracer(traced, attach_events)
             if traced:
-                for fresh, nbytes in attach_events:
-                    tracer.metrics.counter(
-                        "store.attaches" if fresh else "store.attach_hits"
-                    ).inc()
-                    if fresh:
-                        tracer.metrics.counter(
-                            "store.attached_bytes"
-                        ).inc(nbytes)
                 tracer.metrics.counter("coalesce.member_runs").inc()
             outcome = runtime.run(
                 request, capabilities=capabilities,
@@ -255,13 +257,8 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
                 "pro_rata_stall": _pro_rata(fused_stall, share),
                 "pro_rata_mix": _pro_rata(fused_mix, share),
             }
-            if traced:
-                snapshot = tracer.metrics.snapshot()
-                spans = [root.to_dict() for root in tracer.roots]
-            else:
-                snapshot, spans = None, None
             member_payloads.append(
-                [handle.index, record.to_json(), snapshot, spans]
+                [handle.index, record.to_json(), *_tracer_payload(tracer)]
             )
 
     return {
@@ -281,6 +278,45 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
     }
 
 
+def fuse(index: int, handles, metrics) -> FusedPlanHandle:
+    """One fused window over ``handles``, counted on ``metrics``."""
+    metrics.counter("coalesce.fused_windows").inc()
+    metrics.counter("coalesce.fused_requests").inc(len(handles))
+    metrics.counter("coalesce.passes_saved").inc(len(handles) - 1)
+    return FusedPlanHandle(index=index, handles=tuple(handles))
+
+
+def fan_out_payload(index: int, payload, metrics) -> list:
+    """``[(index, (record_json, metrics_snapshot, spans)), ...]``.
+
+    A plain payload is its own completion; a fused window's fans out
+    into one per member, under the member's index (its dedup hits count
+    as ``coalesce.dedup_hits`` on ``metrics``).  Member records are
+    digest-identical to solo runs, so callers treat them as solo items.
+    """
+    if not is_fused_payload(payload):
+        return [(index, payload)]
+    metrics.counter("coalesce.dedup_hits").inc(
+        int(payload["meta"].get("dedup_hits", 0))
+    )
+    return [
+        (member, (record_json, snapshot, spans))
+        for member, record_json, snapshot, spans in payload["members"]
+    ]
+
+
+def fan_out_failure(failed, members) -> list:
+    """One quarantined dispatch as per-request failures.
+
+    ``members`` are a fused window's request indexes (None: a solo item).
+    The window was retried as a unit, so no member half-succeeded: each
+    gets a copy of the window's failure under its own index.
+    """
+    if members is None:
+        return [failed]
+    return [dataclasses.replace(failed, index=i) for i in members]
+
+
 def fusion_group_key(runtime, request) -> tuple:
     """The batch-side grouping key: requests fusable into one window.
 
@@ -288,8 +324,6 @@ def fusion_group_key(runtime, request) -> tuple:
     (tile width, effective SSF threshold), and concrete backend — so a
     group shares one plan-compatible wide pass.
     """
-    from .cache import matrix_fingerprint
-
     return (
         matrix_fingerprint(request.matrix),
         request.tile_width,
@@ -303,38 +337,27 @@ def plan_fusion_groups(
 ) -> tuple[list, list]:
     """Partition batch item indices into fusion groups and singles.
 
-    Returns ``(groups, singles)`` where each group is a list of at least
-    two indices sharing a :func:`fusion_group_key`, greedily chunked so
-    a group's summed dense width stays within ``max_k``; everything else
-    (unique keys, overflow remainders of size one) lands in ``singles``.
-    Order within groups and singles follows submission order.
+    A static batch is the service's coalescing window with every request
+    already arrived: indices go, in submission order, into a
+    :class:`~repro.service.coalesce.CoalescingScheduler` under their
+    :func:`fusion_group_key` (so a window's summed dense width stays
+    within ``max_k``), flushed at the end of input.  Returns ``(groups,
+    singles)``: groups of 2+ indices ordered by first index, and the
+    sorted indices of one-member windows.
     """
-    if max_k < 1:
-        raise ConfigError(f"max_k must be >= 1, got {max_k}")
-    buckets: dict[tuple, list] = {}
+    # Imported here: the service package imports this one.
+    from ..service.coalesce import CoalescingScheduler
+
+    scheduler = CoalescingScheduler(window_s=math.inf, max_k=max_k)
+    windows: list = []
     for i in indices:
-        buckets.setdefault(fusion_group_key(runtime, requests[i]), []).append(i)
-    groups: list[list] = []
-    singles: list = []
-
-    def flush(chunk):
-        if len(chunk) > 1:
-            groups.append(chunk)
-        else:
-            singles.extend(chunk)
-
-    for _, bucket in sorted(buckets.items(), key=lambda kv: kv[1][0]):
-        chunk: list = []
-        chunk_k = 0
-        for i in bucket:
-            k = requests[i].dense_cols
-            if chunk and chunk_k + k > max_k:
-                flush(chunk)
-                chunk, chunk_k = [], 0
-            chunk.append(i)
-            chunk_k += k
-        flush(chunk)
-    singles.sort()
+        windows += scheduler.add(
+            fusion_group_key(runtime, requests[i]), i,
+            requests[i].dense_cols, 0.0,
+        )
+    windows += scheduler.pop_ready(0.0, flush_all=True)
+    groups = sorted((m for _, m in windows if len(m) > 1), key=lambda m: m[0])
+    singles = sorted(m[0] for _, m in windows if len(m) == 1)
     return groups, singles
 
 
@@ -343,6 +366,9 @@ __all__ = [
     "FusedPlanHandle",
     "dense_token",
     "execute_fused_handle",
+    "fan_out_failure",
+    "fan_out_payload",
+    "fuse",
     "fusion_group_key",
     "is_fused_payload",
     "plan_fusion_groups",

@@ -1,31 +1,39 @@
-"""Crash-safe parallel batch execution for SpMM requests.
+"""Crash-safe batch execution for SpMM requests.
 
 The corpus-scale campaigns (Fig. 16's ~1k-matrix sweeps) are
-embarrassingly parallel across requests.  This module fans a batch across
-a :class:`~repro.runtime.supervisor.WorkerSupervisor`-owned process pool
-while keeping three properties the serial runtime guarantees:
+embarrassingly parallel across requests.  :class:`ParallelExecutor` runs
+a batch on one of two transports — the **serial reference**
+(``workers=1``, the parent's own runtime) or a
+:class:`~repro.runtime.supervisor.WorkerSupervisor`-owned **process
+pool**, optionally fusing same-matrix items into wide-k windows
+(:mod:`repro.runtime.fusion`) — while ``run_batch`` itself owns journal
+replay, result assembly and the journal append on completion.  Either
+way the batch keeps four properties:
 
 * **determinism** — the parent plans every request (cheap — SSF + Table 1
   prediction) and ships each worker a picklable :class:`PlanHandle`;
   execution is a pure function of ``(plan, matrix, dense)``, so worker
   records are digest-identical to serial ones and results return in
   request order (property-tested in ``tests/runtime/test_parallel.py``);
-* **zero-copy operands** — handles carry
-  :class:`~repro.store.layout.SegmentDescriptor` recipes instead of the
-  operands themselves: the parent publishes each matrix (and explicit
-  dense operand) into shared memory once per fingerprint via
-  :class:`~repro.store.registry.SharedOperandRegistry`, and workers
+* **zero-copy operands** — :func:`make_handle` publishes each matrix (and
+  explicit dense operand) into shared memory once per fingerprint via
+  :class:`~repro.store.registry.SharedOperandRegistry`, so handles carry
+  :class:`~repro.store.layout.SegmentDescriptor` recipes and workers
   attach read-only views (``store.*`` counters make the shipped/pickled
   byte split measurable; see ``docs/STORAGE.md``);
 * **resilience** — workers are supervised: crashes, hangs, and poison
-  requests are retried with backoff and ultimately quarantined as
-  structured :class:`~repro.runtime.supervisor.FailedItem` entries on the
-  :class:`BatchResult`; a dead worker can no longer abort the batch
+  requests are retried with backoff (after :func:`heal` republishes a
+  corrupted operand) and ultimately quarantined as structured
+  :class:`~repro.runtime.supervisor.FailedItem` entries on the
+  :class:`BatchResult`; a dead worker cannot abort the batch
   (chaos-tested in ``tests/runtime/test_chaos.py``);
 * **durability** — with ``journal=`` every completed item is checkpointed
   to an append-only :class:`~repro.runtime.journal.RunJournal`, and
   ``resume=True`` replays digest-verified entries instead of re-executing
   them (see ``docs/RELIABILITY.md``).
+
+The resident service (:mod:`repro.service.server`) builds and heals its
+handles with the same :func:`make_handle` and :func:`heal`.
 
 Worker processes memoize format stores and runtimes per fingerprint in
 their own process — nothing relies on ``fork`` copy-on-write inheritance,
@@ -38,19 +46,15 @@ its metrics snapshot + span forest home, where they are merged via
 :meth:`~repro.telemetry.metrics.MetricsRegistry.merge_snapshot` and
 :meth:`~repro.telemetry.tracer.Tracer.graft` in request-index order.
 
-``--threads`` swaps the process pool for an in-process thread pool that
-executes directly on the shared :class:`~repro.formats.convert.FormatStore`
-buffers (planning stays serial in the parent) — no pickling and no
-shipping at all, with the same digest-identity contract.
-
 Exposed on the CLI as ``python -m repro run --batch FILE --workers N
-[--threads] [--journal FILE | --resume FILE] [--request-timeout S]
+[--no-coalesce] [--journal FILE | --resume FILE] [--request-timeout S]
 [--max-retries N] [--fail-fast]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import time
 import weakref
@@ -58,6 +62,14 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError, SupervisionError
 from .cache import CacheEntry, PlanCache, matrix_fingerprint
+from .fusion import (
+    FusedPlanHandle,
+    execute_fused_handle,
+    fan_out_failure,
+    fan_out_payload,
+    fuse,
+    plan_fusion_groups,
+)
 from .journal import JOURNAL_VERSION, RunJournal, request_fingerprint
 from .plan import FULL_CAPABILITIES, SpmmPlan, SpmmRequest
 from .record import RunRecord
@@ -264,56 +276,167 @@ def execute_handle(ctx, handle):
     :func:`~repro.runtime.fusion.execute_fused_handle` and returns its
     fused payload dict instead of the plain tuple.
     """
-    from ..telemetry import Tracer
-    from .fusion import FusedPlanHandle, execute_fused_handle
-
     if isinstance(handle, FusedPlanHandle):
         return execute_fused_handle(ctx, handle)
     config, traced = ctx
     runtime, request, capabilities, attach_events = _prepare_worker_item(
         config, handle
     )
-    tracer = Tracer() if traced else None
-    if traced:
-        for fresh, nbytes in attach_events:
-            tracer.metrics.counter(
-                "store.attaches" if fresh else "store.attach_hits"
-            ).inc()
-            if fresh:
-                tracer.metrics.counter("store.attached_bytes").inc(nbytes)
+    tracer = _item_tracer(traced, attach_events)
     outcome = runtime.run(
         request, capabilities=capabilities,
         enforce_ladder=handle.capabilities is not None, tracer=tracer,
     )
-    if traced:
-        snapshot = tracer.metrics.snapshot()
-        spans = [root.to_dict() for root in tracer.roots]
-    else:
-        snapshot, spans = None, None
-    return outcome.record.to_json(), snapshot, spans
+    return (outcome.record.to_json(), *_tracer_payload(tracer))
+
+
+def _item_tracer(traced: bool, attach_events):
+    """A worker's tracer for one item (None when the parent is not
+    tracing), with the item's operand attaches already counted."""
+    from ..telemetry import Tracer
+
+    if not traced:
+        return None
+    tracer = Tracer()
+    for fresh, nbytes in attach_events:
+        tracer.metrics.counter(
+            "store.attaches" if fresh else "store.attach_hits"
+        ).inc()
+        if fresh:
+            tracer.metrics.counter("store.attached_bytes").inc(nbytes)
+    return tracer
+
+
+def _tracer_payload(tracer) -> tuple:
+    """``(metrics_snapshot, span_dicts)`` shipped home, or Nones."""
+    if tracer is None:
+        return None, None
+    return tracer.metrics.snapshot(), [root.to_dict() for root in tracer.roots]
+
+
+def make_handle(
+    index: int, request, plan: SpmmPlan, registry, *,
+    capabilities=None, metrics=None,
+) -> PlanHandle:
+    """Package one planned request for the workers.
+
+    The matrix (and any explicit dense operand) is published to
+    ``registry``'s shared memory once per fingerprint, so repeats ship
+    only a descriptor.  An operand that cannot be published (no array
+    adapter, or shared memory exhausted) rides pickled in the handle,
+    counted on ``metrics`` (None = uncounted) as ``store.bytes_pickled``
+    plus ``store.fallback_pickle`` once the registry plane is degraded.
+    ``capabilities`` is the plan's degraded capability set (None = full).
+    """
+    fingerprint = matrix_fingerprint(request.matrix)
+    operand = registry.publish_matrix(request.matrix, fingerprint=fingerprint)
+    if operand is None:
+        _count_pickled(registry, request.matrix, metrics)
+    dense, dense_operand = request.dense, None
+    if dense is not None:
+        dense_operand = registry.publish_dense(dense)
+        if dense_operand is None:
+            _count_pickled(registry, dense, metrics)
+        else:
+            dense = None
+    return PlanHandle(
+        index=index,
+        plan=plan.to_dict(),
+        matrix=None if operand is not None else request.matrix,
+        fingerprint=fingerprint,
+        k=request.k,
+        seed=request.seed,
+        tile_width=request.tile_width,
+        ssf_threshold=request.ssf_threshold,
+        backend=plan.provenance.get("backend"),
+        dense=dense,
+        capabilities=(
+            capabilities.to_dict() if capabilities is not None else None
+        ),
+        operand=operand,
+        dense_operand=dense_operand,
+    )
+
+
+def _count_pickled(registry, operand, metrics) -> None:
+    """Count one operand shipped pickled because it was not published."""
+    from ..store.registry import pickled_nbytes
+
+    if metrics is None:
+        return
+    if registry.pressure.is_degraded("registry"):
+        metrics.counter("store.fallback_pickle").inc()
+    metrics.counter("store.bytes_pickled").inc(pickled_nbytes(operand))
+
+
+def heal(registry, metrics, item, error_type: str, message: str):
+    """Repair seam: republish an item's damaged operands before its retry.
+
+    A worker that detects corruption fails its item with a structured
+    ``OperandCorruptionError``; one attaching a segment an earlier heal
+    (or a selfcheck) already quarantined sees ``FileNotFoundError``.
+    Both heal alike: every operand of the item (matrix and dense, of
+    each fused member) is republished from ``registry``'s source copy
+    under a *fresh* segment name — worker attach memos are keyed by
+    segment name, so the retry re-attaches and re-verifies — or
+    re-pointed at the segment an earlier heal republished.  Each event
+    counts once on ``metrics`` (``integrity.corruption_detected``,
+    ``integrity.republished``).  Returns the replacement item, or None
+    (retry unchanged).  Bind the first two arguments with
+    ``functools.partial`` for the supervisor's ``heal`` seam.
+    """
+    if error_type not in ("OperandCorruptionError", "FileNotFoundError"):
+        return None
+    if error_type == "OperandCorruptionError":
+        metrics.counter("integrity.corruption_detected").inc()
+
+    def refresh(descriptor):
+        if descriptor is None:
+            return None
+        current = registry.descriptors.get(descriptor.token)
+        if current is not None and current.segment != descriptor.segment:
+            return current
+        fresh = registry.republish(descriptor.token)
+        if fresh is None:
+            return descriptor
+        metrics.counter("integrity.republished").inc()
+        return fresh
+
+    fused = isinstance(item, FusedPlanHandle)
+    healed = []
+    for handle in item.handles if fused else (item,):
+        operand = refresh(handle.operand)
+        dense_operand = refresh(handle.dense_operand)
+        if operand is not handle.operand or (
+            dense_operand is not handle.dense_operand
+        ):
+            handle = dataclasses.replace(
+                handle, operand=operand, dense_operand=dense_operand
+            )
+        healed.append(handle)
+    if fused:
+        if all(new is old for new, old in zip(healed, item.handles)):
+            return None
+        return dataclasses.replace(item, handles=tuple(healed))
+    return None if healed[0] is item else healed[0]
 
 
 class ParallelExecutor:
-    """Fan a batch of :class:`SpmmRequest` across a supervised pool.
+    """Run a batch of :class:`SpmmRequest` serially or on a supervised pool.
 
-    ``workers=1`` degenerates to serial execution through the parent
-    runtime itself (no pool, no pickling) — the reference the parallel
-    path is property-tested against.  Journaling, resume, retry, and
-    quarantine semantics are identical in both modes.
+    ``workers=1`` is serial execution through the parent runtime itself
+    (no pool, no pickling) — the reference the pool is property-tested
+    against.  Journaling, resume, retry, and quarantine semantics are
+    identical in both modes.
     """
 
-    def __init__(
-        self, runtime, *, workers: int | None = None, threads: bool = False
-    ):
+    def __init__(self, runtime, *, workers: int | None = None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.runtime = runtime
         self.workers = int(workers)
-        #: True = in-process thread pool over shared operand buffers
-        #: instead of a supervised process pool (no pickling at all).
-        self.threads = bool(threads)
 
     def run_batch(
         self,
@@ -344,9 +467,8 @@ class ParallelExecutor:
         fused wide-k windows (``coalesce_max_k`` bounds a window's summed
         dense width) before dispatch — one sparse-stream pass per window,
         per-item records digest-identical either way (see
-        :mod:`repro.runtime.fusion`).  Only the process-pool path fuses:
-        serial mode is the unfused reference, and threaded mode already
-        shares operand buffers in-process.
+        :mod:`repro.runtime.fusion`).  Only the process pool fuses: the
+        serial path is the unfused reference.
         """
         tracer = self.runtime.tracer if tracer is None else tracer
         policy = policy if policy is not None else SupervisionPolicy()
@@ -355,6 +477,27 @@ class ParallelExecutor:
             requests, journal, resume, tracer
         )
         lost_before = journal.lost if journal is not None else 0
+        results: list = [None] * len(requests)
+        to_run = []
+        for i in range(len(requests)):
+            if replay is None or fingerprints[i] not in replay.records:
+                to_run.append(i)
+                continue
+            record = replay.records[fingerprints[i]]
+            results[i] = BatchItemResult(
+                index=i, record=record, plan=SpmmPlan.from_dict(record.plan),
+                cache_hit=False, replayed=True,
+            )
+            tracer.metrics.counter("journal.replayed").inc()
+
+        def complete(item: BatchItemResult) -> None:
+            """Checkpoint one executed item: keep its result, journal it."""
+            results[item.index] = item
+            if journal is not None and journal.append(
+                fingerprints[item.index], item.record
+            ):
+                tracer.metrics.counter("journal.appends").inc()
+
         with tracer.span(
             "batch",
             n_requests=len(requests),
@@ -362,22 +505,18 @@ class ParallelExecutor:
             resumed=replay is not None,
         ):
             if self.workers == 1:
-                result = self._run_serial(
-                    requests, tracer, policy, journal, replay, fingerprints
-                )
-            elif self.threads:
-                if chaos:
-                    raise ConfigError(
-                        "chaos injection requires process workers, not --threads"
-                    )
-                result = self._run_threaded(
-                    requests, tracer, policy, journal, replay, fingerprints
+                failures, stats = self._run_serial(
+                    requests, to_run, complete, tracer, policy
                 )
             else:
-                result = self._run_parallel(
-                    requests, tracer, policy, journal, replay, fingerprints,
-                    chaos, coalesce, coalesce_max_k,
+                failures, stats = self._run_parallel(
+                    requests, to_run, complete, tracer, policy, chaos,
+                    coalesce, coalesce_max_k,
                 )
+        if fingerprints is not None:
+            for failed in failures:
+                failed.fingerprint = fingerprints[failed.index]
+        result = BatchResult(results, failures, stats)
         if journal is not None:
             # Always report the journal — a fresh run reports its appends,
             # a resume additionally reports the load-time trust/anomaly
@@ -442,34 +581,20 @@ class ParallelExecutor:
                 )
         return journal, replay, fingerprints
 
-    def _replay_item(self, index, record) -> BatchItemResult:
-        """A batch result reconstructed from a journaled record."""
-        return BatchItemResult(
-            index=index,
-            record=record,
-            plan=SpmmPlan.from_dict(record.plan),
-            cache_hit=False,
-            replayed=True,
-        )
-
     # ------------------------------------------------------------- serial
-    def _run_serial(
-        self, requests, tracer, policy, journal, replay, fingerprints
-    ) -> BatchResult:
-        """In-process execution with the same retry/journal semantics."""
-        results: list = [None] * len(requests)
+    def _run_serial(self, requests, to_run, complete, tracer, policy):
+        """In-process execution with the pool's retry/quarantine policy.
+
+        Returns ``(failures, stats)``; each executed item goes to
+        ``complete`` as it finishes.
+        """
         failures: list[FailedItem] = []
         stats = dict.fromkeys(WorkerSupervisor.STAT_KEYS, 0)
-        for i, request in enumerate(requests):
-            fp = fingerprints[i] if fingerprints is not None else None
-            if replay is not None and fp in replay.records:
-                results[i] = self._replay_item(i, replay.records[fp])
-                tracer.metrics.counter("journal.replayed").inc()
-                continue
+        for i in to_run:
             attempt = 0
             while True:
                 try:
-                    outcome = self.runtime.run(request, tracer=tracer)
+                    outcome = self.runtime.run(requests[i], tracer=tracer)
                 except Exception as exc:
                     if policy.fail_fast:
                         raise SupervisionError(
@@ -491,50 +616,36 @@ class ParallelExecutor:
                             error_type=type(exc).__name__,
                             message=str(exc),
                             attempts=attempt + 1,
-                            fingerprint=fp,
                         )
                     )
                     break
                 stats["executed"] += 1
-                results[i] = BatchItemResult(
-                    index=i,
-                    record=outcome.record,
-                    plan=outcome.plan,
-                    cache_hit=outcome.cache_hit,
+                complete(
+                    BatchItemResult(
+                        index=i,
+                        record=outcome.record,
+                        plan=outcome.plan,
+                        cache_hit=outcome.cache_hit,
+                    )
                 )
-                if journal is not None:
-                    if journal.append(fp, outcome.record):
-                        tracer.metrics.counter("journal.appends").inc()
                 break
-        return BatchResult(results, failures, stats)
+        return failures, stats
 
     # ----------------------------------------------------------- parallel
     def _run_parallel(
-        self, requests, tracer, policy, journal, replay, fingerprints, chaos,
-        coalesce=False, coalesce_max_k=1024,
-    ) -> BatchResult:
-        """Supervised process-pool execution (see the module docstring)."""
-        from .fusion import (
-            FusedPlanHandle,
-            is_fused_payload,
-            plan_fusion_groups,
-        )
+        self, requests, to_run, complete, tracer, policy, chaos,
+        coalesce, coalesce_max_k,
+    ):
+        """Supervised process-pool execution (see the module docstring).
 
-        n = len(requests)
-        results: list = [None] * n
-        hits: dict[int, bool] = {}
-        plans: dict[int, SpmmPlan] = {}
-        telemetry: dict[int, tuple] = {}
+        Returns ``(failures, stats)``; each executed item goes to
+        ``complete`` as its payload arrives.
+        """
+        from ..store.registry import SharedOperandRegistry
+
         traced = bool(tracer.enabled)
-
-        to_run = []
-        for i in range(n):
-            fp = fingerprints[i] if fingerprints is not None else None
-            if replay is not None and fp in replay.records:
-                results[i] = self._replay_item(i, replay.records[fp])
-                tracer.metrics.counter("journal.replayed").inc()
-            else:
-                to_run.append(i)
+        planned: dict[int, tuple] = {}
+        telemetry: dict[int, tuple] = {}
 
         # Fusion groups: plan-compatible same-matrix items share one
         # sparse-stream pass.  Synthetic dispatch indexes for fused
@@ -544,171 +655,45 @@ class ParallelExecutor:
                 self.runtime, requests, to_run, max_k=coalesce_max_k
             )
         else:
-            groups, singles = [], list(to_run)
-        group_members: dict[int, list] = {
-            n + g: members for g, members in enumerate(groups)
+            groups, singles = [], to_run
+        windows = {
+            len(requests) + g: members for g, members in enumerate(groups)
         }
-        if groups and traced:
-            tracer.metrics.counter("coalesce.fused_windows").inc(len(groups))
-            tracer.metrics.counter("coalesce.fused_requests").inc(
-                sum(len(m) for m in groups)
-            )
-            tracer.metrics.counter("coalesce.passes_saved").inc(
-                sum(len(m) - 1 for m in groups)
-            )
-
-        from ..store.registry import SharedOperandRegistry, pickled_nbytes
 
         registry = SharedOperandRegistry()
 
-        def make_handle(i) -> PlanHandle:
-            """Plan item ``i`` and package it for the workers.
-
-            The item's matrix (and any explicit dense operand) is
-            published to shared memory once per fingerprint — repeat
-            requests over the same matrix ship only a descriptor.
-            Containers without an array adapter fall back to pickling,
-            counted as ``store.bytes_pickled`` so the fallback is
-            visible.
-            """
+        def plan_handle(i) -> PlanHandle:
             request = requests[i]
             plan, _, cache_hit = self.runtime.plan(request, tracer=tracer)
-            hits[i] = cache_hit
-            plans[i] = plan
-            fingerprint = matrix_fingerprint(request.matrix)
-            operand = registry.publish_matrix(
-                request.matrix, fingerprint=fingerprint
-            )
-            if operand is None and traced:
-                if registry.pressure.is_degraded("registry"):
-                    tracer.metrics.counter("store.fallback_pickle").inc()
-                tracer.metrics.counter("store.bytes_pickled").inc(
-                    pickled_nbytes(request.matrix)
-                )
-            dense_operand = None
-            dense = request.dense
-            if dense is not None:
-                dense_operand = registry.publish_dense(dense)
-                if dense_operand is not None:
-                    dense = None
-                elif traced:
-                    # Shared memory exhausted: ship this dense operand
-                    # pickled inside the handle instead.
-                    tracer.metrics.counter("store.fallback_pickle").inc()
-                    tracer.metrics.counter("store.bytes_pickled").inc(
-                        pickled_nbytes(dense)
-                    )
-            return PlanHandle(
-                index=i,
-                plan=plan.to_dict(),
-                matrix=None if operand is not None else request.matrix,
-                fingerprint=fingerprint,
-                k=request.k,
-                seed=request.seed,
-                tile_width=request.tile_width,
-                ssf_threshold=request.ssf_threshold,
-                backend=plan.provenance.get("backend"),
-                dense=dense,
-                operand=operand,
-                dense_operand=dense_operand,
+            planned[i] = (plan, cache_hit)
+            return make_handle(
+                i, request, plan, registry,
+                metrics=tracer.metrics if traced else None,
             )
 
         def handles():
             """Lazily plan items as the admission window admits them."""
             for i in singles:
-                yield i, make_handle(i)
-            for fused_index, members in group_members.items():
-                yield fused_index, FusedPlanHandle(
-                    index=fused_index,
-                    handles=tuple(make_handle(i) for i in members),
-                )
-
-        def complete(index, record_json, snapshot, spans):
-            """Assemble one item's result and journal it."""
-            record = RunRecord.from_json(record_json)
-            results[index] = BatchItemResult(
-                index=index,
-                record=record,
-                plan=plans[index],
-                cache_hit=hits[index],
-            )
-            if traced:
-                telemetry[index] = (snapshot, spans)
-            if journal is not None:
-                if journal.append(fingerprints[index], record):
-                    tracer.metrics.counter("journal.appends").inc()
+                yield i, plan_handle(i)
+            for index, members in windows.items():
+                handles = [plan_handle(i) for i in members]
+                yield index, fuse(index, handles, tracer.metrics)
 
         def on_payload(index, payload):
-            """Completion checkpoint: plain item or fused fan-out."""
-            if is_fused_payload(payload):
-                if traced:
-                    tracer.metrics.counter("coalesce.dedup_hits").inc(
-                        int(payload["meta"].get("dedup_hits", 0))
+            for i, (record_json, snapshot, spans) in fan_out_payload(
+                index, payload, tracer.metrics
+            ):
+                plan, cache_hit = planned[i]
+                complete(
+                    BatchItemResult(
+                        index=i,
+                        record=RunRecord.from_json(record_json),
+                        plan=plan,
+                        cache_hit=cache_hit,
                     )
-                for member_index, record_json, snapshot, spans in (
-                    payload["members"]
-                ):
-                    complete(member_index, record_json, snapshot, spans)
-                return
-            complete(index, *payload)
-
-        def _refresh(descriptor):
-            """The live descriptor for a token, republishing if required.
-
-            Returns ``(descriptor, changed)``.  When an earlier heal
-            already republished this token (the registry holds a newer
-            segment name), the item is simply re-pointed at it; otherwise
-            the segment is quarantined and reshipped from the publisher's
-            source copy.
-            """
-            if descriptor is None:
-                return None, False
-            current = registry.descriptors.get(descriptor.token)
-            if current is not None and current.segment != descriptor.segment:
-                return current, True
-            fresh = registry.republish(descriptor.token)
-            if fresh is not None:
-                return fresh, True
-            return descriptor, False
-
-        def _heal_handle(handle):
-            operand, changed_m = _refresh(handle.operand)
-            dense_operand, changed_d = _refresh(handle.dense_operand)
-            if not (changed_m or changed_d):
-                return None
-            return dataclasses.replace(
-                handle, operand=operand, dense_operand=dense_operand
-            )
-
-        def heal(item, error_type, message):
-            """Repair seam: republish damaged operands before the retry.
-
-            A worker that detects operand corruption fails its item with
-            a structured ``OperandCorruptionError``; a worker attaching a
-            descriptor whose segment was already quarantined sees
-            ``FileNotFoundError``.  Both heal the same way: every
-            shared-memory operand the item references is republished
-            under a *fresh* segment name (worker attach memos are keyed
-            by segment name, so the retry re-attaches and re-verifies)
-            and the item is re-queued with the new descriptors.  Returns
-            ``None`` — retry unchanged — for every other failure.
-            """
-            if error_type not in ("OperandCorruptionError", "FileNotFoundError"):
-                return None
-            if traced and error_type == "OperandCorruptionError":
-                tracer.metrics.counter("integrity.corruption_detected").inc()
-            if isinstance(item, FusedPlanHandle):
-                members = [_heal_handle(h) for h in item.handles]
-                if not any(m is not None for m in members):
-                    return None
-                return dataclasses.replace(
-                    item,
-                    handles=tuple(
-                        m if m is not None else h
-                        for m, h in zip(members, item.handles)
-                    ),
                 )
-            return _heal_handle(item)
+                if traced:
+                    telemetry[i] = (snapshot, spans)
 
         supervisor = WorkerSupervisor(
             execute_handle,
@@ -716,7 +701,7 @@ class ParallelExecutor:
             workers=self.workers,
             policy=policy,
             chaos=chaos,
-            heal=heal,
+            heal=functools.partial(heal, registry, tracer.metrics),
         )
         failures: list[FailedItem] = []
         try:
@@ -743,38 +728,19 @@ class ParallelExecutor:
                     tracer.metrics.counter("store.publish_failures").inc(
                         s["publish_failures"]
                     )
-                if s["republished"]:
-                    tracer.metrics.counter("integrity.republished").inc(
-                        s["republished"]
-                    )
             # Workers have drained (or died) by now; the batch's segments
             # are unlinked here regardless of outcome.
             registry.close()
-        # A quarantined fused window fans out into per-member failures
-        # (the supervisor retried the window as a unit, so no member
-        # half-succeeded) before fingerprints are attached.
-        if group_members:
-            expanded: list[FailedItem] = []
-            for failed in failures:
-                members = group_members.get(failed.index)
-                if members is None:
-                    expanded.append(failed)
-                    continue
-                for i in members:
-                    expanded.append(
-                        FailedItem(
-                            index=i,
-                            error_type=failed.error_type,
-                            message=failed.message,
-                            attempts=failed.attempts,
-                            phase=failed.phase,
-                        )
-                    )
-            expanded.sort(key=lambda f: f.index)
-            failures = expanded
-        if fingerprints is not None:
-            for failed in failures:
-                failed.fingerprint = fingerprints[failed.index]
+        failures = sorted(
+            (
+                member
+                for failed in failures
+                for member in fan_out_failure(
+                    failed, windows.get(failed.index)
+                )
+            ),
+            key=lambda f: f.index,
+        )
         if traced:
             # Merge in request-index order so gauge last-writer-wins and
             # span order are deterministic regardless of completion order.
@@ -784,150 +750,4 @@ class ParallelExecutor:
                 for span_dict in spans:
                     root = tracer.graft(span_dict)
                     root.set_attribute("batch_index", index)
-        return BatchResult(results, failures, supervisor.stats)
-
-    # ----------------------------------------------------------- threaded
-    def _run_threaded(
-        self, requests, tracer, policy, journal, replay, fingerprints
-    ) -> BatchResult:
-        """In-process thread-pool execution over shared operand buffers.
-
-        The operand plane's no-pickling mode: planning, cache bookkeeping,
-        and dense-operand resolution happen serially in the parent (in
-        submission order, so plan-cache semantics match ``workers=1``),
-        then execution fans out across a thread pool whose workers read
-        the *same* :class:`~repro.formats.convert.FormatStore` containers —
-        zero bytes shipped, zero bytes pickled.  Each item is a pure
-        function of ``(plan, matrix, dense)``, so records stay
-        digest-identical to serial execution (property-tested in
-        ``tests/store/test_threaded.py``).
-        """
-        import concurrent.futures
-
-        from ..telemetry import Tracer, span_summary
-
-        n = len(requests)
-        results: list = [None] * n
-        failures: list[FailedItem] = []
-        stats = dict.fromkeys(WorkerSupervisor.STAT_KEYS, 0)
-        traced = bool(tracer.enabled)
-        planned: dict[int, tuple] = {}
-        to_run = []
-        for i, request in enumerate(requests):
-            fp = fingerprints[i] if fingerprints is not None else None
-            if replay is not None and fp in replay.records:
-                results[i] = self._replay_item(i, replay.records[fp])
-                tracer.metrics.counter("journal.replayed").inc()
-                continue
-            plan, store, cache_hit = self.runtime.plan(request, tracer=tracer)
-            dense = self.runtime._resolve_dense(request, store)
-            planned[i] = (plan, store, cache_hit, dense)
-            to_run.append(i)
-
-        def job(i):
-            """One item: execute (with retries) on the shared store."""
-            request = requests[i]
-            plan, store, cache_hit, dense = planned[i]
-            attempt = 0
-            while True:
-                try:
-                    item_tracer = Tracer() if traced else None
-                    use = item_tracer if traced else self.runtime.tracer
-                    with use.span("run") as root:
-                        execution = self.runtime.executor.execute(
-                            plan,
-                            request.matrix,
-                            dense,
-                            store=store,
-                            request=request,
-                            tracer=use,
-                        )
-                        record = RunRecord.from_execution(execution)
-                        if root.enabled:
-                            root.set_attributes(
-                                algorithm=execution.plan.algorithm,
-                                cache_hit=cache_hit,
-                                dense_cols=request.dense_cols,
-                                gpu=self.runtime.config.name,
-                                threaded=True,
-                            )
-                    if traced:
-                        record.extras["trace_summary"] = span_summary(root)
-                except Exception as exc:
-                    if policy.fail_fast:
-                        raise SupervisionError(
-                            f"batch item {i} failed on attempt {attempt + 1} "
-                            f"({type(exc).__name__}: {exc}) and fail_fast "
-                            f"is set"
-                        ) from exc
-                    if attempt < policy.max_retries:
-                        time.sleep(policy.backoff_s(attempt))
-                        attempt += 1
-                        continue
-                    return ("failed", i, exc, attempt + 1)
-                return ("ok", i, record, execution.plan, cache_hit,
-                        attempt, item_tracer)
-
-        telemetry: dict[int, object] = {}
-        pool_size = min(self.workers, max(1, len(to_run)))
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=pool_size
-        ) as pool:
-            futures = [pool.submit(job, i) for i in to_run]
-            for future in concurrent.futures.as_completed(futures):
-                outcome = future.result()  # re-raises fail_fast errors
-                if outcome[0] == "failed":
-                    _, i, exc, attempts = outcome
-                    stats["retries"] += attempts - 1
-                    stats["quarantined"] += 1
-                    tracer.metrics.counter("supervisor.quarantined").inc()
-                    failures.append(
-                        FailedItem(
-                            index=i,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=attempts,
-                            fingerprint=(
-                                fingerprints[i]
-                                if fingerprints is not None
-                                else None
-                            ),
-                        )
-                    )
-                    continue
-                _, i, record, plan, cache_hit, retries, item_tracer = outcome
-                stats["retries"] += retries
-                if retries:
-                    tracer.metrics.counter("supervisor.retries").inc(retries)
-                stats["executed"] += 1
-                results[i] = BatchItemResult(
-                    index=i, record=record, plan=plan, cache_hit=cache_hit
-                )
-                if item_tracer is not None:
-                    telemetry[i] = item_tracer
-                if journal is not None:
-                    if journal.append(fingerprints[i], record):
-                        tracer.metrics.counter("journal.appends").inc()
-        # Single-writer persistence flush, after every thread has finished
-        # mutating the shared stores.
-        writeback = getattr(self.runtime.cache, "writeback", None)
-        if writeback is not None:
-            for i in to_run:
-                request = requests[i]
-                writeback(
-                    PlanCache.key_for(
-                        request,
-                        self.runtime.config,
-                        FULL_CAPABILITIES,
-                        self.runtime._effective_threshold(request),
-                        self.runtime._effective_backend(request),
-                    )
-                )
-        if traced:
-            for index in sorted(telemetry):
-                item_tracer = telemetry[index]
-                tracer.metrics.merge_snapshot(item_tracer.metrics.snapshot())
-                for span in item_tracer.roots:
-                    root = tracer.graft(span.to_dict())
-                    root.set_attribute("batch_index", index)
-        return BatchResult(results, failures, stats)
+        return failures, supervisor.stats

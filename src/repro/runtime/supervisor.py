@@ -225,10 +225,12 @@ def _worker_main(
     """Entry point of one supervised worker process.
 
     ``close_fds`` lists inherited file descriptors a forked child must
-    drop immediately — e.g. a resident server's listening socket, which
-    would otherwise keep the socket's accept backlog alive in orphaned
-    workers after the parent is SIGKILLed, wedging clients that connect
-    to the stale socket during a restart.
+    drop immediately: the parent's ends of its own, its siblings' and
+    the wake pipes (else ``task_r`` never reads EOF and the worker
+    outlives a SIGKILLed parent), and e.g. a resident server's listening
+    socket, which would otherwise keep the socket's accept backlog alive
+    in orphaned workers, wedging clients that connect to the stale
+    socket during a restart.
 
     Receives ``(index, attempt, item)`` tasks on its private ``task_r``
     pipe until the ``None`` sentinel (or EOF), answering each with one
@@ -457,13 +459,18 @@ class WorkerSupervisor:
 
         def spawn(now, respawn: bool) -> None:
             nonlocal next_wid
-            close_fds = (
-                tuple(self.child_close_fds)
-                if ctx.get_start_method() == "fork"
-                else ()
-            )
             task_r, task_w = ctx.Pipe(duplex=False)
             result_r, result_w = ctx.Pipe(duplex=False)
+            close_fds = ()
+            if ctx.get_start_method() == "fork":
+                # Leave the parent the only writer on each task pipe, so
+                # a worker whose parent is SIGKILLed reads EOF and exits.
+                close_fds = (
+                    *self.child_close_fds,
+                    task_w.fileno(), result_r.fileno(), wake_r, wake_w,
+                    *(conn.fileno() for w in workers.values()
+                      for conn in (w.task_w, w.result_r)),
+                )
             process = ctx.Process(
                 target=_worker_main,
                 args=(

@@ -20,7 +20,9 @@ Fairness and SLO safety are structural, not tuned:
   fusion is only ever applied to 2+ members.
 
 The scheduler is a passive data structure: the server's dispatcher loop
-calls :meth:`add` / :meth:`pop_ready` under its own lock and clock.
+calls :meth:`add` / :meth:`pop_ready` under its own lock and clock, and
+batch fusion (:func:`repro.runtime.fusion.plan_fusion_groups`) files a
+whole static batch, then flushes it.
 """
 
 from __future__ import annotations

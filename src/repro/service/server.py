@@ -63,7 +63,6 @@ from ..runtime import (
     FULL_CAPABILITIES,
     Capabilities,
     FailedItem,
-    FusedPlanHandle,
     Planner,
     PlanHandle,
     RunRecord,
@@ -71,12 +70,16 @@ from ..runtime import (
     SpmmRuntime,
     SupervisionPolicy,
     WorkerSupervisor,
-    is_fused_payload,
-    matrix_fingerprint,
     request_fingerprint,
 )
+from ..runtime.fusion import (
+    fan_out_failure,
+    fan_out_payload,
+    fuse,
+    fusion_group_key,
+)
 from ..runtime.journal import RunJournal
-from ..runtime.parallel import execute_handle
+from ..runtime.parallel import execute_handle, heal, make_handle
 from ..runtime.pressure import ResourcePressure
 from ..runtime.supervisor import NO_ITEM
 from ..store import PersistentFormatStore, SharedOperandRegistry
@@ -263,7 +266,7 @@ class SpmmService:
         #: per lane: requests out of their lane but not yet dispatched (in
         #: an open or closed window) — still backlog for admission
         self._parked: dict[str, int] = dict.fromkeys(LANES, 0)
-        #: synthetic fused dispatch index -> member _Pending entries
+        #: synthetic fused dispatch index -> its members' request indexes
         self._fused: dict[int, tuple] = {}
         self._lock = threading.Lock()
         self._completed: dict[str, RunRecord] = {}
@@ -561,15 +564,11 @@ class SpmmService:
         total += sum(self._parked.values())
         return total, len(self._lanes["batch"]) + self._parked["batch"]
 
-    @staticmethod
-    def _fusion_key(pend: _Pending) -> tuple:
-        """The window grouping key: only plan-compatible requests fuse."""
-        return (
-            matrix_fingerprint(pend.request.matrix),
-            pend.request.tile_width,
-            pend.rung,
-            pend.request.backend,
-        )
+    def _fusion_key(self, pend: _Pending) -> tuple:
+        """The window grouping key: the batch's key plus the rung."""
+        return fusion_group_key(
+            self._runtime(pend.tenant), pend.request
+        ) + (pend.rung,)
 
     def _emit(self, members: list):
         """Dispatch one unit: fused for 2+ planned members, else solo.
@@ -605,97 +604,45 @@ class SpmmService:
         with self._lock:
             fused_index = self._next_index
             self._next_index += 1
-            self._fused[fused_index] = tuple(p for p, _ in planned)
-        fused = FusedPlanHandle(
-            index=fused_index, handles=tuple(h for _, h in planned)
-        )
-        self.metrics.counter("coalesce.fused_windows").inc()
-        self.metrics.counter("coalesce.fused_requests").inc(len(planned))
-        self.metrics.counter("coalesce.passes_saved").inc(len(planned) - 1)
+            self._fused[fused_index] = tuple(p.index for p, _ in planned)
         self.metrics.gauge("coalesce.window_occupancy").set(len(planned))
         self.metrics.gauge("coalesce.fused_k").set(
             sum(p.request.dense_cols for p, _ in planned)
         )
-        return fused_index, fused
+        return fused_index, fuse(
+            fused_index, [h for _, h in planned], self.metrics
+        )
 
     def _plan_handle(self, pend: _Pending) -> PlanHandle:
         """Plan one request at its rung; package it for the workers.
 
-        The matrix goes through the operand plane: published to shared
+        The matrix goes through the operand plane
+        (:func:`~repro.runtime.parallel.make_handle`): published to shared
         memory once per fingerprint (a pre-attached hot operand is a
         publish hit) and shipped as a descriptor, with the resident bytes
         charged to the requesting tenant's accounting.
         """
-        runtime = self._runtime(pend.tenant)
         caps = LADDER[pend.rung]
-        plan, _, _ = runtime.plan(
+        plan, _, _ = self._runtime(pend.tenant).plan(
             pend.request, caps if caps is not None else FULL_CAPABILITIES
         )
-        fingerprint = matrix_fingerprint(pend.request.matrix)
-        operand = self.operands.publish_matrix(
-            pend.request.matrix, fingerprint=fingerprint
+        handle = make_handle(
+            pend.index, pend.request, plan, self.operands,
+            capabilities=caps, metrics=self.metrics,
         )
-        if operand is not None:
+        if handle.operand is not None:
             self.cache.charge_segment(
-                pend.tenant, fingerprint, operand.total_bytes
+                pend.tenant, handle.fingerprint, handle.operand.total_bytes
             )
-        return PlanHandle(
-            index=pend.index,
-            plan=plan.to_dict(),
-            matrix=None if operand is not None else pend.request.matrix,
-            fingerprint=fingerprint,
-            k=pend.request.k,
-            seed=pend.request.seed,
-            tile_width=pend.request.tile_width,
-            ssf_threshold=pend.request.ssf_threshold,
-            backend=plan.provenance.get("backend"),
-            dense=None,
-            capabilities=caps.to_dict() if caps is not None else None,
-            operand=operand,
-        )
+        return handle
 
     def _heal(self, item, error_type, message):
         """Supervisor repair seam: republish damaged operands before retry.
 
-        A worker that detects corruption on attach fails its item with a
-        structured ``OperandCorruptionError``; a worker attaching a
-        descriptor whose segment was already quarantined by an earlier
-        heal (or a selfcheck) sees ``FileNotFoundError``.  Both repair
-        identically: the matrix operand is republished from the
-        publisher's source copy under a fresh segment name — worker
-        attach memos are keyed by segment name, so the retry re-attaches
-        and re-verifies — and the item re-queues with the new
-        descriptor.  Returns ``None`` (retry unchanged) for every other
-        failure, or when nothing could be republished.
+        See :func:`~repro.runtime.parallel.heal`; integrity events are
+        counted on the service's metrics.
         """
-        if error_type not in ("OperandCorruptionError", "FileNotFoundError"):
-            return None
-        if error_type == "OperandCorruptionError":
-            self.metrics.counter("integrity.corruption_detected").inc()
-        handles = (
-            item.handles if isinstance(item, FusedPlanHandle) else (item,)
-        )
-        healed = []
-        changed = False
-        for handle in handles:
-            operand = handle.operand
-            if operand is not None:
-                current = self.operands.descriptors.get(operand.token)
-                if current is not None and current.segment != operand.segment:
-                    handle = replace(handle, operand=current)
-                    changed = True
-                else:
-                    fresh = self.operands.republish(operand.token)
-                    if fresh is not None:
-                        self.metrics.counter("integrity.republished").inc()
-                        handle = replace(handle, operand=fresh)
-                        changed = True
-            healed.append(handle)
-        if not changed:
-            return None
-        if isinstance(item, FusedPlanHandle):
-            return replace(item, handles=tuple(healed))
-        return healed[0]
+        return heal(self.operands, self.metrics, item, error_type, message)
 
     def _dispatch_loop(self) -> None:
         """The dispatcher thread body: one supervisor run for the lifetime."""
@@ -739,81 +686,64 @@ class SpmmService:
     def _on_payload(self, index: int, payload) -> None:
         """Supervisor completion hook: journal, account, resolve.
 
-        A fused window's payload fans out into per-member completions:
-        each member record is journaled, accounted, and resolved exactly
-        as a solo run's would be (digests match by the fusion contract —
-        see :mod:`repro.runtime.fusion`).
+        A fused window's payload fans out into per-member completions
+        (:func:`~repro.runtime.fusion.fan_out_payload`): each member
+        record is journaled, accounted, and resolved exactly as a solo
+        run's would be (digests match by the fusion contract — see
+        :mod:`repro.runtime.fusion`).
         """
-        if is_fused_payload(payload):
-            with self._lock:
-                self._fused.pop(index, None)
-            meta = payload.get("meta", {})
-            self.metrics.counter("coalesce.dedup_hits").inc(
-                int(meta.get("dedup_hits", 0))
-            )
-            for member_index, record_json, _snap, _spans in (
-                payload["members"]
-            ):
-                self._on_payload(member_index, (record_json, None, None))
-            return
-        record_json, _, _ = payload
-        record = RunRecord.from_json(record_json)
         with self._lock:
-            pend = self._inflight.pop(index, None)
-        if pend is None:
-            return
-        self.admission.observe_completion(
-            time.monotonic() - pend.dispatched_at
-        )
-        if self.state.journal.append(pend.fingerprint, record):
-            self.metrics.counter("service.journal_appends").inc()
-        elif self.state.journal.degraded:
-            # Durability is degraded but the answer is correct; restart
-            # will simply re-execute (at-least-once, never silent loss).
-            self.metrics.counter("service.journal_errors").inc()
-            self.metrics.counter("durability.lost").inc()
-        self._completed[pend.fingerprint] = record
-        self._counts["completed"] += 1
-        self.metrics.counter("service.completed").inc()
-        if pend.recovery:
-            self._counts["recovered"] += 1
-            self.metrics.counter("service.recovered").inc()
-        self._update_gauges()
-        self._resolve(pend, self._ok_result(pend, record, replayed=False))
+            self._fused.pop(index, None)
+        for member, (record_json, _, _) in fan_out_payload(
+            index, payload, self.metrics
+        ):
+            with self._lock:
+                pend = self._inflight.pop(member, None)
+            if pend is None:
+                continue
+            record = RunRecord.from_json(record_json)
+            self.admission.observe_completion(
+                time.monotonic() - pend.dispatched_at
+            )
+            if self.state.journal.append(pend.fingerprint, record):
+                self.metrics.counter("service.journal_appends").inc()
+            elif self.state.journal.degraded:
+                # Durability is degraded but the answer is correct;
+                # restart will simply re-execute (at-least-once, never
+                # silent loss).
+                self.metrics.counter("service.journal_errors").inc()
+                self.metrics.counter("durability.lost").inc()
+            self._completed[pend.fingerprint] = record
+            self._counts["completed"] += 1
+            self.metrics.counter("service.completed").inc()
+            if pend.recovery:
+                self._counts["recovered"] += 1
+                self.metrics.counter("service.recovered").inc()
+            self._update_gauges()
+            self._resolve(pend, self._ok_result(pend, record, replayed=False))
 
     def _on_failure(self, failed: FailedItem) -> None:
         """Supervisor quarantine hook: structured 500, never a hang.
 
-        A fused window's quarantine fans out: every member gets its own
-        structured failure (the supervisor retried the window as a unit
-        before giving up, so no member half-succeeded).
+        A fused window's quarantine fans out
+        (:func:`~repro.runtime.fusion.fan_out_failure`): every member gets
+        its own structured failure.
         """
         with self._lock:
             members = self._fused.pop(failed.index, None)
-        if members is not None:
-            for pend in members:
-                self._on_failure(
-                    FailedItem(
-                        index=pend.index,
-                        error_type=failed.error_type,
-                        message=failed.message,
-                        attempts=failed.attempts,
-                        phase=failed.phase,
-                    )
-                )
-            return
-        with self._lock:
-            pend = self._inflight.pop(failed.index, None)
-        if pend is None:
-            return
-        failed.fingerprint = pend.fingerprint
-        self._failures.append(failed)
-        self._counts["failed"] += 1
-        self.metrics.counter("service.failed").inc()
-        self._update_gauges()
-        self._resolve(
-            pend, {"status": STATUS_FAILED, "failure": failed.to_dict()}
-        )
+        for item in fan_out_failure(failed, members):
+            with self._lock:
+                pend = self._inflight.pop(item.index, None)
+            if pend is None:
+                continue
+            item.fingerprint = pend.fingerprint
+            self._failures.append(item)
+            self._counts["failed"] += 1
+            self.metrics.counter("service.failed").inc()
+            self._update_gauges()
+            self._resolve(
+                pend, {"status": STATUS_FAILED, "failure": item.to_dict()}
+            )
 
     def _on_orphan(self, pend: _Pending) -> None:
         """Fail one request stranded by a dispatcher crash."""

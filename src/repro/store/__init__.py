@@ -8,6 +8,10 @@ consume the result:
   ``multiprocessing.shared_memory`` segments described by picklable
   :class:`SegmentDescriptor` recipes; workers :func:`attach_matrix` /
   :func:`attach_dense` zero-copy views instead of unpickling copies.
+  The batch pool and the resident service publish through one handle
+  builder and heal corrupted segments through one repair seam
+  (:func:`repro.runtime.parallel.make_handle` and
+  :func:`~repro.runtime.parallel.heal`).
 - :class:`PersistentFormatStore` spills plan-cache entries (plans, format
   conversions, engine artifacts, seeded dense operands) to mmap-backed
   ``.npy`` segments with an fsynced manifest, so a fresh process
@@ -35,7 +39,6 @@ from .registry import (
     detach_all,
     pickled_nbytes,
 )
-from .threaded import csr_spmm_rows, row_ranges, threaded_csr_spmm
 
 __all__ = [
     "ADAPTERS",
@@ -48,11 +51,8 @@ __all__ = [
     "attach_dense",
     "attach_matrix",
     "verify_arrays",
-    "csr_spmm_rows",
     "default_lease_dir",
     "detach_all",
     "encode_key",
     "pickled_nbytes",
-    "row_ranges",
-    "threaded_csr_spmm",
 ]

@@ -14,6 +14,7 @@ worker death); the scripted external-kill round-trip lives in
 function, so the process machinery is exercised without SpMM cost.
 """
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -93,6 +94,36 @@ def _probe_fd_open(ctx, item):
         return False
 
 
+def _note_pid(ctx, item):
+    # Leave this worker's pid behind, then go idle on the task pipe.
+    open(os.path.join(ctx, f"worker-{os.getpid()}"), "w").close()
+    return item
+
+
+def _supervise_forever(out_dir):
+    # A parent that never finishes its run: two items, then an idle stream.
+    def stream():
+        yield 0, 0
+        yield 1, 1
+        while True:
+            yield NO_ITEM
+
+    WorkerSupervisor(
+        _note_pid, out_dir, workers=2,
+        policy=policy(start_method="fork"),
+    ).run(stream())
+
+
+def _running(pid):
+    # True while ``pid`` exists and is not a zombie (Linux /proc).
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
 def _sigstop_self_once(ctx, item):
     # Freeze the whole process (heartbeat thread included) on the first
     # attempt only: a marker file distinguishes attempt 0 from the retry.
@@ -141,6 +172,39 @@ class TestSupervisor:
             os.fstat(keep)  # parent's copy is untouched
         finally:
             os.close(keep)
+
+    def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
+        # Forked workers must not hold the parent's pipe ends (their own
+        # or a sibling's): with the parent gone, each idle worker's task
+        # pipe has to read EOF so the worker exits instead of lingering.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        if not os.path.exists(f"/proc/{os.getpid()}/stat"):
+            pytest.skip("needs /proc")
+        helper = multiprocessing.get_context("fork").Process(
+            target=_supervise_forever, args=(str(tmp_path),)
+        )
+        helper.start()
+        try:
+            deadline = time.monotonic() + 30
+            pids = []
+            while len(pids) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+                pids = [int(name.split("-")[1])
+                        for name in os.listdir(tmp_path)]
+            assert len(pids) == 2, "workers never ran their items"
+        finally:
+            helper.kill()  # SIGKILL: the workers get no shutdown
+            helper.join(timeout=10)
+        assert not helper.is_alive()
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        lingering = [pid for pid in pids if _running(pid)]
+        for pid in lingering:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        assert lingering == []
 
     def test_kill_is_retried_not_fatal(self):
         supervisor = WorkerSupervisor(

@@ -10,7 +10,8 @@ Coverage: small seeded matrices from both planner branches (CSR and
 DCSR C-stationary winners, online tiled DCSR) plus a COO input with
 duplicate coordinates; k in {16, 64}; the service's three ladder rungs;
 every installed backend; a cold run followed by a plan-cache hit on the
-same runtime.
+same runtime; and, at rung 0, both batch transports (serial and the
+supervised pool, with and without fused windows).
 
 Regenerate only when a change to records is intended, and say why in
 CHANGES.md::
@@ -31,7 +32,7 @@ from repro.formats import COOMatrix
 from repro.gpu import get_config
 from repro.kernels.backends import available_backends
 from repro.matrices import from_spec
-from repro.runtime import SpmmRequest, SpmmRuntime
+from repro.runtime import ParallelExecutor, SpmmRequest, SpmmRuntime
 from repro.service import LADDER
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
@@ -42,8 +43,12 @@ SPECS = {
     "block_diag_small": "block_diagonal:512:512:0.02:3",  # DCSR wins
     "block_diag_online": "block_diagonal:1024:1024:0.01:3",  # online tiled
 }
+NAMES = (*SPECS, "coo_duplicates")
 KS = (16, 64)
 GPU = "gv100"
+
+#: batch path -> (workers, coalesce)
+BATCH_PATHS = {"serial": (1, False), "pool": (2, False), "fused": (2, True)}
 
 
 def coo_with_duplicates() -> COOMatrix:
@@ -58,11 +63,15 @@ def coo_with_duplicates() -> COOMatrix:
     return COOMatrix((200, 180), rows, cols, vals)
 
 
+def build_matrix(name: str):
+    """A fresh matrix object, so a cold run shares no memo with another."""
+    if name == "coo_duplicates":
+        return coo_with_duplicates()
+    return from_spec(SPECS[name])
+
+
 def build_matrices() -> dict:
-    """Fresh matrix objects, so a cold run shares no memo with another."""
-    matrices = {name: from_spec(spec) for name, spec in SPECS.items()}
-    matrices["coo_duplicates"] = coo_with_duplicates()
-    return matrices
+    return {name: build_matrix(name) for name in NAMES}
 
 
 def run_case(runtime, matrix, k: int, rung: int) -> tuple[str, bool]:
@@ -103,6 +112,25 @@ def test_digests_match_fixture(backend):
     wrong = {case: (pair, expected[case]) for case, pair in got.items()
              if pair != [expected[case], expected[case]]}
     assert not wrong
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("path", BATCH_PATHS)
+def test_batch_digests_match_fixture(path, name):
+    """Every batch transport reproduces the pinned rung-0 digests."""
+    workers, coalesce = BATCH_PATHS[path]
+    matrix = build_matrix(name)
+    executor = ParallelExecutor(SpmmRuntime(get_config(GPU)), workers=workers)
+    results = executor.run_batch(
+        [SpmmRequest(matrix, k=k, seed=k + 1) for k in KS], coalesce=coalesce
+    )
+    assert results.ok
+    # the fused cell must really have run one wide pass for both ks
+    assert all(("coalesce" in r.record.extras) == coalesce for r in results)
+    expected = load_fixture()["digests"]
+    assert [r.record.digest() for r in results] == [
+        expected[f"{name}|{k}|0"] for k in KS
+    ]
 
 
 def test_fixture_covers_both_planner_branches():

@@ -84,7 +84,7 @@ class TestBatchUnderDiskPressure:
             for s in range(3)
         ]
         runtime = SpmmRuntime(GV100)
-        executor = ParallelExecutor(runtime, workers=1, threads=True)
+        executor = ParallelExecutor(runtime, workers=1)
         journal = RunJournal(tmp_path / "run.jsonl")
         tracer = Tracer()
         with failing_fsync(fail_from=0):
@@ -112,7 +112,7 @@ class TestBatchUnderDiskPressure:
             SpmmRequest(uniform_random(48, 48, 0.1, seed=9), k=4, seed=0)
         ]
         runtime = SpmmRuntime(GV100)
-        executor = ParallelExecutor(runtime, workers=1, threads=True)
+        executor = ParallelExecutor(runtime, workers=1)
         journal = RunJournal(tmp_path / "run.jsonl")
         result = executor.run_batch(requests, journal=journal)
         durability = result.journal_summary["durability"]

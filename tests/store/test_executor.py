@@ -1,14 +1,8 @@
-"""Operand-plane executor paths: ship-once, threads, digest parity."""
+"""Operand-plane executor path: each matrix ships once per batch."""
 
-import numpy as np
-import pytest
-
-from repro.errors import ConfigError
-from repro.formats.convert import to_format
 from repro.matrices import uniform_random
 from repro.runtime import ParallelExecutor, SpmmRequest, SpmmRuntime
 from repro.runtime.supervisor import SupervisionPolicy
-from repro.store import row_ranges, threaded_csr_spmm
 from repro.telemetry import Tracer
 
 from repro.gpu import GV100
@@ -48,60 +42,3 @@ def test_distinct_matrices_get_distinct_segments():
     executor.run_batch(requests, tracer=tracer, policy=fork_policy())
     counters = tracer.metrics.snapshot()["counters"]
     assert counters["store.segments"] == 2
-
-
-# ----------------------------------------------------------- thread mode
-def test_threaded_executor_matches_serial_digests():
-    mats = [uniform_random(64, 64, 0.05, seed=s) for s in (1, 2)]
-    requests = [
-        SpmmRequest(mats[0], k=8, seed=0),
-        SpmmRequest(mats[1], k=8, seed=0),
-        SpmmRequest(mats[0], k=8, seed=0),
-    ]
-    serial = SpmmRuntime(GV100)
-    reference = [serial.run(r).record.digest() for r in requests]
-
-    runtime = SpmmRuntime(GV100)
-    executor = ParallelExecutor(runtime, workers=3, threads=True)
-    results = executor.run_batch(requests)
-    assert [r.record.digest() for r in results] == reference
-    assert [r.index for r in results] == [0, 1, 2]
-    assert [r.cache_hit for r in results] == [False, False, True]
-
-
-def test_threaded_executor_merges_telemetry():
-    m = uniform_random(48, 48, 0.05, seed=4)
-    requests = [SpmmRequest(m, k=4, seed=0) for _ in range(4)]
-    tracer = Tracer()
-    executor = ParallelExecutor(SpmmRuntime(GV100), workers=2, threads=True)
-    executor.run_batch(requests, tracer=tracer)
-    names = {s.name for s in tracer.iter_spans()}
-    assert "batch" in names
-    assert any(n.startswith("plan") or n == "cache_lookup" for n in names)
-
-
-def test_threads_reject_chaos_injection():
-    m = uniform_random(16, 16, 0.2, seed=0)
-    executor = ParallelExecutor(SpmmRuntime(GV100), workers=2, threads=True)
-    with pytest.raises(ConfigError):
-        executor.run_batch(
-            [SpmmRequest(m, k=2, seed=0)], chaos={0: object()}
-        )
-
-
-# ------------------------------------------------------- threaded kernel
-def test_row_ranges_partition_exactly():
-    for n, parts in [(10, 3), (7, 7), (5, 16), (0, 4), (100, 1)]:
-        ranges = row_ranges(n, parts)
-        covered = [i for s, e in ranges for i in range(s, e)]
-        assert covered == list(range(n))
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3, 8])
-def test_threaded_csr_spmm_bit_identical(threads):
-    m = to_format(uniform_random(96, 80, 0.07, seed=6).deduplicate(), "csr")
-    dense = np.random.default_rng(1).standard_normal((80, 12))
-    expected = threaded_csr_spmm(m, dense, threads=1)
-    got = threaded_csr_spmm(m, dense, threads=threads)
-    assert got.dtype == expected.dtype
-    np.testing.assert_array_equal(got, expected)

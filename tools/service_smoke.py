@@ -11,10 +11,11 @@ subprocess and walks the full crash matrix from the outside:
    non-shed request must come back 200 with a digest identical to a
    serial in-process run.
 2. **Server SIGKILL mid-stream** — the whole server is SIGKILLed with
-   requests in flight, then restarted on the same state directory.  The
-   restart must re-execute ``accepted - journaled``; afterwards every
-   intent in the accepted log must be journaled digest-identical to
-   serial.  No silent loss.
+   requests in flight, then restarted on the same state directory.  Its
+   worker children must exit with it (none still running 5 s later).
+   The restart must re-execute ``accepted - journaled``; afterwards
+   every intent in the accepted log must be journaled digest-identical
+   to serial.  No silent loss.
 3. **SIGTERM drain** — the restarted server is SIGTERMed and must exit 0
    with a drain summary on stdout.
 4. **Coalescing round-trip** — concurrent same-matrix clients against a
@@ -76,6 +77,16 @@ def children_of(pid):
     except OSError:
         pass
     return kids
+
+
+def running(pid):
+    """Whether ``pid`` exists and is not a zombie, via /proc (Linux only)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
 
 
 def start_server(sock, state_dir, *extra):
@@ -205,14 +216,28 @@ def phase_server_kill(tmp):
         time.sleep(0.01)
     else:
         fail("no intent was ever accepted")
+    children = children_of(proc.pid)
     proc.kill()  # SIGKILL: no cleanup, no drain
     proc.wait()
-    # Orphaned worker children inherit the output pipes, so communicate()
-    # would block on their EOF; close our ends directly instead.
+    # Worker children inherit the output pipes and may outlive the server
+    # for a moment, so communicate() could block on their EOF; close our
+    # ends directly instead.
     for pipe in (proc.stdout, proc.stderr):
         pipe.close()
     thread.join(timeout=30)
     print("   SIGKILLed the server with requests in flight")
+    deadline = time.monotonic() + 5
+    while any(map(running, children)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = [pid for pid in children if running(pid)]
+    for pid in orphans:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if orphans:
+        fail(f"server children {orphans} outlived the server by 5 s")
+    print(f"   all {len(children)} server children exited with it")
 
     with open(accepted_path) as fh:
         accepted = [json.loads(line) for line in fh if line.strip()]
