@@ -6,8 +6,7 @@ from .roofline import (
     machine_balance,
     spmm_roofline,
 )
-from .sampling import SampledProfile, sampled_ssf, sampling_agreement
-from .tiling2d import Tiling2DEstimate, best_tiling2d, tiling2d_traffic
+from .sampling import SampledProfile, sampled_ssf
 from .ssf import (
     ThresholdFit,
     classification_report,
@@ -41,10 +40,6 @@ __all__ = [
     "learn_threshold",
     "SampledProfile",
     "sampled_ssf",
-    "sampling_agreement",
-    "Tiling2DEstimate",
-    "tiling2d_traffic",
-    "best_tiling2d",
     "classification_report",
     "RooflinePoint",
     "spmm_roofline",

@@ -125,29 +125,3 @@ def sampled_ssf(
         est_mean_strip_fraction=est_strip_frac,
         est_entropy=est_entropy,
     )
-
-
-def sampling_agreement(
-    matrices_and_ssf,
-    threshold: float,
-    *,
-    fraction: float = 0.1,
-    tile_width: int = 64,
-    seed=0,
-) -> float:
-    """Fraction of matrices routed identically by sampled vs full SSF.
-
-    ``matrices_and_ssf`` is an iterable of ``(matrix, full_ssf)`` pairs;
-    the returned agreement is what the sampling ablation bench sweeps.
-    """
-    agree = total = 0
-    for m, full in matrices_and_ssf:
-        est = sampled_ssf(
-            m, fraction=fraction, tile_width=tile_width, seed=seed
-        ).ssf
-        if (est > threshold) == (full > threshold):
-            agree += 1
-        total += 1
-    if total == 0:
-        raise ConfigError("no matrices supplied")
-    return agree / total

@@ -1,21 +1,15 @@
 """Application workloads built on the simulated SpMM system.
 
-These are the paper's motivating applications, implemented against the
-public API: every sparse-dense multiply goes through the SSF-routed hybrid
-(:func:`repro.kernels.hybrid_spmm`), so each run reports the numeric
-result *and* the simulated GPU time/algorithm profile.
+The blocked eigensolver, one of the paper's motivating applications,
+implemented against the public API: every sparse-dense multiply goes
+through the SSF-routed hybrid (:func:`repro.kernels.hybrid_spmm`), so each
+run reports the numeric result *and* the simulated GPU time/algorithm
+profile.
 """
 
 from .eigensolver import EigenResult, block_eigensolver
-from .nmf import NMFResult, nmf
-from .pagerank import PageRankResult, batched_pagerank, column_stochastic
 
 __all__ = [
-    "PageRankResult",
-    "batched_pagerank",
-    "column_stochastic",
     "EigenResult",
     "block_eigensolver",
-    "NMFResult",
-    "nmf",
 ]

@@ -384,47 +384,6 @@ class StreamingStripConverter:
         return out
 
 
-def convert_rowstrip_to_dcsc(
-    row_ptr,
-    col_idx,
-    values,
-    n_cols: int,
-    *,
-    n_lanes: int = 64,
-    stepwise: bool = False,
-    fidelity: str | None = None,
-):
-    """CSR horizontal strip → DCSC tile, on the *same* engine (Section 4.1).
-
-    For wide matrices the paper stores CSR and flips the dataflow: the
-    engine's lanes walk **row** frontiers of a horizontal strip and the
-    comparator minimizes over *column* coordinates.  Structurally this is
-    the transpose of the CSC→DCSR walk, so the model reuses the identical
-    machinery and transposes the result — exactly the paper's "using the
-    same engine" claim, executable.
-
-    Returns ``(DCSCMatrix, ConversionStats)``; the strip has
-    ``len(row_ptr) - 1`` rows (≤ ``n_lanes``) and ``n_cols`` columns.
-    """
-    from ..formats.dcsc import DCSCMatrix
-
-    if fidelity is None:
-        fidelity = "stepwise" if stepwise else "fast"
-    # Transposed view: rows become lanes, column ids become coordinates.
-    dcsr_t, stats = convert_strip(
-        row_ptr, col_idx, values, n_cols, n_lanes=n_lanes, fidelity=fidelity
-    )
-    n_rows = len(np.asarray(row_ptr)) - 1
-    dcsc = DCSCMatrix(
-        (n_rows, n_cols),
-        dcsr_t.row_idx,  # non-empty columns of the strip
-        dcsr_t.row_ptr,
-        dcsr_t.col_idx,  # row ids within the strip
-        dcsr_t.values,
-    )
-    return dcsc, stats
-
-
 def engine_output_bytes(stats: ConversionStats, *, value_bytes: int = 4) -> float:
     """Bytes the engine streams to the SM per converted strip: the emitted
     tiled-DCSR payload (row_idx + row_ptr increment + col_idx + value)."""

@@ -116,44 +116,6 @@ def strip_unit_failover(
     return unit
 
 
-def reroute_failed_partitions(
-    result: PlacementResult, dead_partitions
-) -> PlacementResult:
-    """Re-route dead partitions' load onto survivors with rebalancing.
-
-    Models the recovery data movement after unit failure: each dead
-    partition's bytes are scattered evenly across every surviving
-    partition (the same round-robin segment scatter the split layout
-    already uses), charging one handoff record per (dead partition,
-    survivor) migration as overhead.  Returns a new
-    :class:`PlacementResult` whose ``loads_bytes`` is zero on dead
-    partitions; ``imbalance`` then quantifies the post-failure hot spot.
-    """
-    dead = sorted(set(int(d) for d in dead_partitions))
-    p = result.loads_bytes.size
-    if any(d < 0 or d >= p for d in dead):
-        raise ConfigError(f"dead partition id outside [0, {p})")
-    if len(dead) >= p:
-        raise ConfigError("cannot re-route: every partition is dead")
-    if not dead:
-        return result
-    loads = result.loads_bytes.astype(np.float64).copy()
-    survivors = np.array([i for i in range(p) if i not in set(dead)])
-    overhead = result.overhead_bytes
-    for d in dead:
-        moved = loads[d]
-        loads[d] = 0.0
-        if moved <= 0:
-            continue
-        loads[survivors] += moved / survivors.size
-        overhead += SWITCH_RECORD_BYTES * survivors.size
-    return PlacementResult(
-        layout=f"{result.layout}+failover",
-        loads_bytes=loads,
-        overhead_bytes=overhead,
-    )
-
-
 def service_time_s(result: PlacementResult, config: GPUConfig) -> float:
     """Critical-path DRAM time of a placement (camping model)."""
     mem = MemorySystem(config)

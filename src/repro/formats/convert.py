@@ -86,9 +86,9 @@ class FormatStore:
 
     Kernels and the runtime executor ask it for containers instead of
     calling :func:`to_format` directly, so repeated runs over the same
-    matrix (plan-cache hits, batch mode, multi-GPU shards that replicate A)
-    pay each conversion exactly once.  ``artifacts`` holds non-format
-    derived objects under caller-chosen keys — e.g. the engine's
+    matrix (plan-cache hits, batch mode) pay each conversion exactly
+    once.  ``artifacts`` holds non-format derived objects under
+    caller-chosen keys — e.g. the engine's
     :class:`~repro.engine.api.OnlineConversion` keyed by tile width.
     """
 

@@ -33,7 +33,6 @@ from .dram import (
     effective_bandwidth,
     streaming_advantage,
 )
-from .trace import TraceResult, trace_b_stationary, trace_csr_spmm
 from .timing import (
     DEFAULT_LAUNCH_OVERHEAD_S,
     DEFAULT_SM_ISSUE_EFFICIENCY,
@@ -71,9 +70,6 @@ __all__ = [
     "DEFAULT_LAUNCH_OVERHEAD_S",
     "CrossbarModel",
     "XbarTraffic",
-    "TraceResult",
-    "trace_csr_spmm",
-    "trace_b_stationary",
     "POLICIES",
     "ScheduleResult",
     "schedule",

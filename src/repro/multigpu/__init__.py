@@ -5,9 +5,7 @@ from .partition import (
     MultiGPUPlan,
     partition_coverage,
     plan_multi_gpu,
-    replan_without_gpus,
 )
-from .sharding import ShardedRun, ShardRun, run_sharded
 from .streaming import StreamingEstimate, compare_a_formats, stream_strip
 
 __all__ = [
@@ -15,10 +13,6 @@ __all__ = [
     "MultiGPUPlan",
     "plan_multi_gpu",
     "partition_coverage",
-    "replan_without_gpus",
-    "ShardRun",
-    "ShardedRun",
-    "run_sharded",
     "StreamingEstimate",
     "stream_strip",
     "compare_a_formats",

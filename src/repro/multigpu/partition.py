@@ -125,47 +125,6 @@ def plan_multi_gpu(
     )
 
 
-def replan_without_gpus(plan: MultiGPUPlan, failed_gpu_ids) -> MultiGPUPlan:
-    """Rebuild the decomposition after GPU failures.
-
-    Surviving GPUs keep their ids but receive fresh contiguous column
-    spans covering the whole dense operand (A is already replicated
-    everywhere, so only B/C spans move).  Raises :class:`ConfigError` when
-    no GPU survives or when the shrunken fleet can no longer hold A plus
-    its streaming buffers (the caller should then fall back to fewer
-    columns per pass or out-of-core staging).
-    """
-    failed = set(int(g) for g in failed_gpu_ids)
-    survivors = [item.gpu_id for item in plan.items if item.gpu_id not in failed]
-    if not survivors:
-        raise ConfigError("every GPU failed — no survivors to re-plan onto")
-    if not failed:
-        return plan
-    per = ceil_div(plan.dense_cols, len(survivors))
-    items = []
-    for i, gpu_id in enumerate(sorted(survivors)):
-        start = i * per
-        end = min(start + per, plan.dense_cols)
-        if start >= end:
-            break
-        items.append(GPUWorkItem(gpu_id=gpu_id, col_start=start, col_end=end))
-    replan = MultiGPUPlan(
-        n_gpus=len(items),
-        n_rows=plan.n_rows,
-        dense_cols=plan.dense_cols,
-        a_bytes=plan.a_bytes,
-        items=tuple(items),
-        gpu_memory_bytes=plan.gpu_memory_bytes,
-        value_bytes=plan.value_bytes,
-    )
-    if not replan.fits():
-        raise ConfigError(
-            f"re-planned strips ({replan.b_strip_bytes / 1e9:.2f} GB widest) "
-            "no longer fit beside A — degrade to smaller chunks"
-        )
-    return replan
-
-
 def partition_coverage(plan: MultiGPUPlan) -> bool:
     """Spans are disjoint and cover [0, dense_cols) — property-tested."""
     cols = np.zeros(plan.dense_cols, dtype=np.int64)

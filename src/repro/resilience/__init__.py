@@ -31,13 +31,7 @@ from .faults import (
     stream_crc,
     verify_stream,
 )
-from .campaign import (
-    CampaignConfig,
-    CampaignReport,
-    SweepResult,
-    run_campaign,
-    run_campaign_sweep,
-)
+from .campaign import CampaignConfig, CampaignReport, run_campaign
 from .injectors import (
     corrupt_item_operands,
     corrupt_segment,
@@ -57,9 +51,7 @@ __all__ = [
     "verify_stream",
     "CampaignConfig",
     "CampaignReport",
-    "SweepResult",
     "run_campaign",
-    "run_campaign_sweep",
     "corrupt_segment",
     "corrupt_item_operands",
     "flip_byte",

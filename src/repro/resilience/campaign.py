@@ -429,79 +429,6 @@ def run_campaign(
     return report
 
 
-@dataclass
-class SweepResult:
-    """A campaign sweep's partial results: reports plus structured failures.
-
-    ``reports`` holds one entry per sweep item in order — a
-    :class:`CampaignReport`, or ``None`` where that campaign raised; each
-    raise is captured as a
-    :class:`~repro.runtime.supervisor.FailedItem` (``phase="campaign"``,
-    the same shape the batch executor quarantines with) instead of
-    aborting the remaining campaigns.
-    """
-
-    reports: list
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        """True when every campaign in the sweep completed."""
-        return not self.failures
-
-    def summary(self) -> dict:
-        """Plain-JSON sweep report (completed/failed counts + failures)."""
-        return {
-            "n_campaigns": len(self.reports),
-            "completed": sum(1 for r in self.reports if r is not None),
-            "failed": [f.to_dict() for f in self.failures],
-        }
-
-
-def run_campaign_sweep(
-    items,
-    *,
-    tracer=NULL_TRACER,
-) -> SweepResult:
-    """Run many campaigns, degrading per-item instead of aborting the sweep.
-
-    ``items`` is an iterable of ``(matrix, config, campaign)`` triples.
-    A campaign that raises any :class:`~repro.errors.ReproError` (or a
-    numpy/value error from a pathological matrix) is recorded as a
-    :class:`~repro.runtime.supervisor.FailedItem` with
-    ``phase="campaign"`` — mirroring how the supervised batch executor
-    quarantines requests — and the sweep continues; failures are counted
-    under ``resilience.sweep_failures`` in ``tracer.metrics``.
-    """
-    from ..runtime.supervisor import FailedItem
-
-    reports: list = []
-    failures: list = []
-    with tracer.span("campaign.sweep") as sweep_span:
-        for index, (matrix, config, campaign) in enumerate(items):
-            try:
-                reports.append(
-                    run_campaign(matrix, config, campaign, tracer=tracer)
-                )
-            except (ReproError, ValueError, IndexError) as exc:
-                reports.append(None)
-                tracer.metrics.counter("resilience.sweep_failures").inc()
-                failures.append(
-                    FailedItem(
-                        index=index,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        attempts=1,
-                        phase="campaign",
-                    )
-                )
-        if sweep_span.enabled:
-            sweep_span.set_attributes(
-                n_campaigns=len(reports), failed=len(failures)
-            )
-    return SweepResult(reports=reports, failures=failures)
-
-
 def _run_campaign(matrix, config, campaign, tracer) -> CampaignReport:
     """The campaign driver behind :func:`run_campaign`."""
     csc = to_format(matrix, "csc")

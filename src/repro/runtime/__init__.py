@@ -11,8 +11,8 @@ This package separates the paper's *decision* from its *execution*:
   per (matrix fingerprint × dense width × GPU config);
 - :class:`RunRecord` is the JSON-serializable trace of one executed plan.
 
-:class:`SpmmRuntime` is the facade the CLI, hybrid kernels, multi-GPU
-sharding, and resilience campaigns all route through.
+:class:`SpmmRuntime` is the facade the CLI, hybrid kernels, and
+resilience campaigns all route through.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Plan caching keyed by matrix fingerprint × dense width × GPU config.
 
 Repeated runs over the same matrix (serving the same model, sweeping k,
-multi-GPU shards, CLI batch mode) should pay for planning, format
-conversion, and engine placement once.  A :class:`PlanCache` entry bundles
+CLI batch mode) should pay for planning, format conversion, and engine
+placement once.  A :class:`PlanCache` entry bundles
 the immutable :class:`~repro.runtime.plan.SpmmPlan` with the
 :class:`~repro.formats.convert.FormatStore` holding every container and
 engine conversion already materialized for that matrix, so a cache hit

@@ -2,7 +2,7 @@
 
 The executor owns no policy.  It materializes the formats a plan names
 (through a memoizing :class:`~repro.formats.convert.FormatStore`, so cache
-hits and shards reuse conversions), dispatches to the simulated kernels,
+hits reuse conversions), dispatches to the simulated kernels,
 and — when asked to enforce the degradation ladder — demotes an online
 plan whose conversion the degraded engine can no longer hide by asking the
 planner to re-plan with online ruled out (Section 5.3 made failure-aware).

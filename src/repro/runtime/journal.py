@@ -251,6 +251,20 @@ class RunJournal:
         self.seed_replayed(replay)
         return True
 
+    def resume(self) -> JournalReplay:
+        """Load this journal to resume from it; returns the load.
+
+        A load with anomalies is compacted down to its trusted entries;
+        a clean one only marks them as journaled.  Either way nothing
+        replayed is appended again.
+        """
+        replay = self.load(self.path)
+        if replay.anomalies:
+            self.compact(replay)
+        else:
+            self.seed_replayed(replay)
+        return replay
+
     # --------------------------------------------------------------- reads
     @classmethod
     def load(cls, path) -> JournalReplay:

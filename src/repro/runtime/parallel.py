@@ -566,11 +566,7 @@ class ParallelExecutor:
         replay = None
         if resume:
             with tracer.span("journal.replay", path=journal.path) as span:
-                replay = RunJournal.load(journal.path)
-                if replay.anomalies:
-                    journal.compact(replay)
-                else:
-                    journal.seed_replayed(replay)
+                replay = journal.resume()
                 if span.enabled:
                     span.set_attributes(
                         trusted=len(replay.records),

@@ -7,8 +7,7 @@ algorithm runs, in which storage format, with which tiling and engine
 placement, plus the provenance that justified it (the SSF value, the
 threshold it was compared against, and the Table 1 traffic the planner
 predicted for each stationarity).  Plans are plain data — JSON-serializable
-and independent of the matrix object — so run records can carry them and
-multi-GPU shards can inherit them.
+and independent of the matrix object — so run records can carry them.
 """
 
 from __future__ import annotations
@@ -146,9 +145,8 @@ FULL_CAPABILITIES = Capabilities()
 class SpmmPlan:
     """One planning decision, ready to execute (and to serialize).
 
-    ``provenance`` carries the evidence: the SSF value and threshold, the
-    predicted Table 1 traffic per stationarity, and — for shard plans —
-    the parent plan's identity.
+    ``provenance`` carries the evidence: the SSF value and threshold and
+    the predicted Table 1 traffic per stationarity.
     """
 
     algorithm: str
@@ -179,27 +177,6 @@ class SpmmPlan:
     def uses_engine(self) -> bool:
         """Whether executing this plan drives the near-memory engine."""
         return self.algorithm == "online_tiled_dcsr"
-
-    def derive_shard(self, gpu_id: int, col_start: int, col_end: int) -> "SpmmPlan":
-        """A per-GPU shard of this plan: same decision, narrower dense span.
-
-        A is replicated across GPUs (Section 6.2), so the format choice,
-        SSF evidence, and engine placement all carry over; only the B/C
-        column span changes.
-        """
-        if not 0 <= col_start < col_end <= self.dense_cols:
-            raise ConfigError(
-                f"shard span [{col_start}, {col_end}) outside "
-                f"[0, {self.dense_cols})"
-            )
-        prov = dict(self.provenance)
-        prov["shard"] = {
-            "gpu_id": int(gpu_id),
-            "col_start": int(col_start),
-            "col_end": int(col_end),
-            "parent_dense_cols": int(self.dense_cols),
-        }
-        return replace(self, dense_cols=col_end - col_start, provenance=prov)
 
     def to_dict(self) -> dict:
         """Plain-JSON form, inverse of :meth:`from_dict`."""

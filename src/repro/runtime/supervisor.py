@@ -115,8 +115,7 @@ class FailedItem:
     (``WorkerCrashError``, ``RequestTimeoutError``, ``HeartbeatLostError``
     for supervision failures; the raising type for poison requests) and
     ``attempts`` counts every dispatch, so ``attempts == max_retries + 1``
-    for a quarantined item.  The resilience sweep reuses this shape with
-    ``phase="campaign"``.
+    for a quarantined item.
     """
 
     index: int

@@ -78,7 +78,6 @@ from ..runtime.fusion import (
     fuse,
     fusion_group_key,
 )
-from ..runtime.journal import RunJournal
 from ..runtime.parallel import execute_handle, heal, make_handle
 from ..runtime.pressure import ResourcePressure
 from ..runtime.supervisor import NO_ITEM
@@ -380,11 +379,7 @@ class SpmmService:
         Runs before the socket opens, so a client can never observe the
         window between restart and recovery.
         """
-        replay = RunJournal.load(self.state.journal_path)
-        if replay.anomalies:
-            self.state.journal.compact(replay)
-        else:
-            self.state.journal.seed_replayed(replay)
+        replay = self.state.journal.resume()
         self._completed = dict(replay.records)
         intents = self.state.load_accepted()
         outstanding = [

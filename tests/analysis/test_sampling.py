@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import sampled_ssf, sampling_agreement, ssf
+from repro.analysis import sampled_ssf, ssf
 from repro.errors import ConfigError
 from repro.formats import COOMatrix
 from repro.matrices import (
@@ -68,19 +68,3 @@ class TestEstimator:
         m = uniform_random(64, 64, 0.1, seed=6)
         with pytest.raises(ConfigError):
             sampled_ssf(m, tile_width=0)
-
-
-class TestAgreement:
-    def test_agreement_high_for_separated_matrices(self):
-        mats = []
-        for seed in range(3):
-            u = uniform_random(1024, 1024, 1e-3, seed=seed)
-            c = block_diagonal(1024, 1024, 2e-2, block_size=64, seed=seed)
-            mats.append((u, ssf(u)))
-            mats.append((c, ssf(c)))
-        agreement = sampling_agreement(mats, threshold=2e4, fraction=0.15)
-        assert agreement >= 5 / 6
-
-    def test_agreement_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            sampling_agreement([], threshold=1.0)

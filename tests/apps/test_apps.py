@@ -1,75 +1,14 @@
-"""Integration tests for the application workloads (paper's motivations)."""
+"""Integration tests for the blocked eigensolver workload."""
 
 import numpy as np
 import pytest
 
-from repro.apps import (
-    batched_pagerank,
-    block_eigensolver,
-    column_stochastic,
-    nmf,
-)
+from repro.apps import block_eigensolver
 from repro.errors import ConfigError
 from repro.formats import COOMatrix
-from repro.matrices import bipartite_graph, uniform_random
+from repro.matrices import uniform_random
 
 from ..conftest import coo_from_triplets
-
-
-@pytest.fixture(scope="module")
-def small_graph():
-    """A 128-node directed graph with a clear hub structure."""
-    return bipartite_graph(128, 128, 0.05, seed=51)
-
-
-class TestPageRank:
-    def test_column_stochastic(self, small_graph):
-        p = column_stochastic(small_graph)
-        dense = p.to_dense()
-        sums = dense.sum(axis=0)
-        nz = sums > 0
-        np.testing.assert_allclose(sums[nz], 1.0, atol=1e-5)
-
-    def test_scores_are_distributions(self, small_graph):
-        res = batched_pagerank(small_graph, [0, 5, 9], max_iters=30)
-        sums = res.scores.sum(axis=0)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-3)
-        assert np.all(res.scores >= -1e-6)
-
-    def test_matches_dense_reference(self, small_graph):
-        """Cross-check one personalization against a dense power iteration."""
-        alpha = 0.85
-        res = batched_pagerank(
-            small_graph, [3], alpha=alpha, max_iters=60, tol=1e-10
-        )
-        p = column_stochastic(small_graph).to_dense().astype(np.float64)
-        r = np.zeros(128)
-        r[3] = 1.0
-        x = r.copy()
-        for _ in range(60):
-            y = alpha * (p @ x) + (1 - alpha) * r
-            y += (1.0 - y.sum()) * r
-            x = y
-        np.testing.assert_allclose(res.scores[:, 0], x, atol=1e-3)
-
-    def test_seed_is_top_scorer(self, small_graph):
-        res = batched_pagerank(small_graph, [7], alpha=0.5, max_iters=30)
-        assert int(np.argmax(res.scores[:, 0])) == 7
-
-    def test_converges(self, small_graph):
-        res = batched_pagerank(small_graph, [1], max_iters=100, tol=1e-8)
-        assert res.converged
-        assert res.simulated_time_s > 0
-        assert len(res.algorithms_used) == res.iterations
-
-    def test_validation(self, small_graph):
-        with pytest.raises(ConfigError):
-            batched_pagerank(small_graph, [500])
-        with pytest.raises(ConfigError):
-            batched_pagerank(small_graph, [0], alpha=1.5)
-        rect = coo_from_triplets((4, 5), [(0, 0, 1.0)])
-        with pytest.raises(ConfigError):
-            batched_pagerank(rect, [0])
 
 
 class TestEigensolver:
@@ -104,42 +43,3 @@ class TestEigensolver:
         rect = coo_from_triplets((4, 5), [(0, 0, 1.0)])
         with pytest.raises(ConfigError):
             block_eigensolver(rect, 1)
-
-
-class TestNMF:
-    def test_loss_decreases(self):
-        m = uniform_random(80, 60, 0.1, seed=55)
-        res = nmf(m, 8, max_iters=25, seed=3)
-        losses = res.loss_history
-        assert losses[-1] < losses[0]
-        # Multiplicative updates are monotone (up to fp noise).
-        assert all(
-            b <= a * 1.001 for a, b in zip(losses, losses[1:])
-        )
-
-    def test_factors_nonnegative(self):
-        m = uniform_random(50, 40, 0.15, seed=56)
-        res = nmf(m, 5, max_iters=10, seed=4)
-        assert np.all(res.w >= 0)
-        assert np.all(res.h >= 0)
-        assert res.reconstruction().shape == (50, 40)
-
-    def test_exact_low_rank_recovered(self):
-        """A rank-2 non-negative matrix factorizes to near-zero loss."""
-        rng = np.random.default_rng(57)
-        w0 = rng.uniform(0, 1, size=(30, 2))
-        h0 = rng.uniform(0, 1, size=(2, 25))
-        dense = (w0 @ h0).astype(np.float32)
-        dense[dense < np.quantile(dense, 0.5)] = 0.0  # sparsify
-        m = COOMatrix.from_dense(dense)
-        res = nmf(m, 4, max_iters=150, seed=5)
-        rel = res.loss_history[-1] / (np.sum(dense.astype(np.float64) ** 2))
-        assert rel < 0.05
-
-    def test_validation(self):
-        m = uniform_random(20, 20, 0.2, seed=58)
-        with pytest.raises(ConfigError):
-            nmf(m, 0)
-        neg = coo_from_triplets((3, 3), [(0, 0, -1.0)])
-        with pytest.raises(ConfigError):
-            nmf(neg, 1)

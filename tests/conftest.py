@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.formats import COOMatrix, CSCMatrix, CSRMatrix
+
+# ``ci`` (the default) draws the same examples on every run and keeps no
+# example database, so a result never depends on a local ``.hypothesis/``
+# directory.  ``explore`` draws fresh examples and saves failing ones;
+# select it with HYPOTHESIS_PROFILE=explore.
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", derandomize=False, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 def random_dense(shape, density, seed=0, dtype=np.float32):
@@ -65,3 +76,17 @@ def coo_from_triplets(shape, triplets, dtype=np.float32):
     else:
         rows, cols, vals = [], [], []
     return COOMatrix(shape, list(rows), list(cols), np.array(vals, dtype=dtype))
+
+
+def float32_sum_bound(coo):
+    """Per-cell bound on float32 summation error over ``coo``'s duplicates.
+
+    Summing a cell's ``n`` entries in float32, in any order, lands within
+    about ``n * eps32 * sum(|v|)`` of the exact sum; a cell with no entry
+    gets a bound of 0.
+    """
+    count = np.zeros(coo.shape)
+    abs_sum = np.zeros(coo.shape)
+    np.add.at(count, (coo.rows, coo.cols), 1.0)
+    np.add.at(abs_sum, (coo.rows, coo.cols), np.abs(coo.values.astype(np.float64)))
+    return count * np.finfo(np.float32).eps * abs_sum

@@ -7,9 +7,11 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.formats import to_format
-from repro.gpu import GV100, trace_b_stationary, trace_csr_spmm
+from repro.gpu import GV100
 from repro.kernels import b_stationary_spmm, csr_spmm, random_dense_operand
 from repro.matrices import block_diagonal, uniform_random
+
+from .trace import trace_b_stationary, trace_csr_spmm
 
 
 @pytest.fixture(scope="module")

@@ -161,53 +161,3 @@ class TestConfigValidation:
     def test_bad_dense_cols(self):
         with pytest.raises(ConfigError):
             CampaignConfig(dense_cols=0)
-
-
-class TestSweep:
-    """Partial-results campaign sweeps: one bad campaign never aborts."""
-
-    def test_happy_sweep_collects_every_report(self, matrix):
-        from repro.resilience import run_campaign_sweep
-
-        items = [
-            (matrix, GV100, CampaignConfig(seed=s, n_units=4, kill=1))
-            for s in (1, 2)
-        ]
-        result = run_campaign_sweep(items)
-        assert result.ok
-        assert [r is not None for r in result.reports] == [True, True]
-        summary = result.summary()
-        assert summary == {"n_campaigns": 2, "completed": 2, "failed": []}
-
-    def test_failing_campaign_quarantined_not_fatal(
-        self, matrix, monkeypatch
-    ):
-        from repro.errors import ReproError
-        from repro.resilience import campaign as campaign_mod
-        from repro.resilience import run_campaign_sweep
-        from repro.telemetry import Tracer
-
-        real = campaign_mod.run_campaign
-        cfgs = [CampaignConfig(seed=s, n_units=4) for s in (1, 2, 3)]
-
-        def flaky(matrix, config, campaign, *, tracer):
-            if campaign is cfgs[1]:
-                raise ReproError("injected sweep failure")
-            return real(matrix, config, campaign, tracer=tracer)
-
-        monkeypatch.setattr(campaign_mod, "run_campaign", flaky)
-        tracer = Tracer()
-        result = run_campaign_sweep(
-            [(matrix, GV100, c) for c in cfgs], tracer=tracer
-        )
-        assert not result.ok
-        assert result.reports[1] is None
-        assert result.reports[0] is not None and result.reports[2] is not None
-        (failed,) = result.failures
-        # the batch executor's FailedItem shape, tagged with the phase
-        assert (failed.index, failed.phase) == (1, "campaign")
-        assert failed.error_type == "ReproError"
-        assert "injected" in failed.message
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters["resilience.sweep_failures"] == 1
-        assert result.summary()["failed"][0]["phase"] == "campaign"

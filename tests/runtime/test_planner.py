@@ -130,26 +130,6 @@ class TestCapabilities:
         assert not FULL_CAPABILITIES.without_online().online_usable
 
 
-class TestShardDerivation:
-    def test_shard_inherits_decision(self, skewed):
-        parent = Planner(GV100).plan(SpmmRequest(skewed, k=64))
-        shard = parent.derive_shard(1, 16, 48)
-        assert shard.algorithm == parent.algorithm
-        assert shard.engine_placement == parent.engine_placement
-        assert shard.dense_cols == 32
-        assert shard.provenance["shard"] == {
-            "gpu_id": 1, "col_start": 16, "col_end": 48,
-            "parent_dense_cols": 64,
-        }
-        assert shard.provenance["ssf"] == parent.provenance["ssf"]
-
-    def test_bad_span_rejected(self, skewed):
-        parent = Planner(GV100).plan(SpmmRequest(skewed, k=64))
-        for start, end in ((-1, 8), (8, 8), (0, 65)):
-            with pytest.raises(ConfigError):
-                parent.derive_shard(0, start, end)
-
-
 class TestPlanSerialization:
     def test_round_trip(self, skewed):
         plan = Planner(GV100).plan(SpmmRequest(skewed, k=64))

@@ -9,6 +9,7 @@ serial :class:`SpmmRuntime` run is the correctness oracle throughout.
 import json
 import socket
 import threading
+import time
 
 from repro.cli import main
 from repro.errors import ReproError
@@ -137,6 +138,43 @@ def test_restart_answers_from_journal(service_factory):
         resp = client.submit(SPECS[1])["result"]
     assert resp["replayed"] is True
     assert resp["digest"] == original["digest"]
+
+
+def test_restart_over_damaged_journal_reexecutes_distrusted(service_factory):
+    first = service_factory(state_name="damaged")
+    with ServiceClient(first.socket_path) as client:
+        originals = [client.submit(spec)["result"] for spec in SPECS[:2]]
+    first.stop()
+
+    # Zero one entry's digest and leave a torn final append behind.
+    path = first.service.state.journal_path
+    with open(path) as fh:
+        entries = [json.loads(line) for line in fh if line.strip()]
+    for entry in entries:
+        if entry["digest"] == originals[0]["digest"]:
+            entry["digest"] = "0" * 64
+    with open(path, "w") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        fh.write('{"version": 1, "kind": "rec')
+
+    # The distrusted entry's intent is still logged, so recovery
+    # re-executes it before any client asks; wait for that, then resubmit.
+    second = service_factory(state_name="damaged")
+    with ServiceClient(second.socket_path) as client:
+        assert client.health()["recovery_pending_at_start"] == 1
+        deadline = time.monotonic() + 60.0
+        while client.health()["counts"]["recovered"] < 1:
+            assert time.monotonic() < deadline, "recovery never completed"
+            time.sleep(0.01)
+        again = [client.submit(spec)["result"] for spec in SPECS[:2]]
+    summary = second.stop()
+
+    assert summary["recovered"] == 1 and summary["completed"] == 1
+    assert [r["replayed"] for r in again] == [True, True]
+    assert [r["digest"] for r in again] == [r["digest"] for r in originals]
+    replay = RunJournal.load(path)
+    assert replay.anomalies == [] and len(replay.records) == 2
 
 
 def test_recovery_reexecutes_accepted_but_unjournaled(

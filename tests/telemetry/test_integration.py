@@ -121,24 +121,6 @@ class TestTraceSummary:
         assert restored.to_json() == record.to_json()
 
 
-class TestShardedTracing:
-    def test_one_shard_span_per_gpu(self, skewed):
-        from repro.kernels import random_dense_operand
-        from repro.multigpu import plan_multi_gpu, run_sharded
-
-        dense = random_dense_operand(skewed.n_cols, 32, seed=1)
-        mg = plan_multi_gpu(skewed.n_rows, 32, a_bytes=1e6, n_gpus=3)
-        tr = Tracer()
-        run_sharded(skewed, dense, GV100, mg, tracer=tr)
-        (root,) = tr.roots
-        assert root.name == "sharded_run"
-        assert root.attributes["n_gpus"] == 3
-        shards = [c for c in root.children if c.name == "shard"]
-        assert [s.attributes["gpu_id"] for s in shards] == [0, 1, 2]
-        hist = tr.metrics.snapshot()["histograms"]["shard.time_s"]
-        assert hist["count"] == 3
-
-
 class TestCampaignTracing:
     def test_campaign_span_and_recovery_counters(self, small):
         from repro.resilience import CampaignConfig, run_campaign
