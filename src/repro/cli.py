@@ -41,7 +41,7 @@ import numpy as np
 from . import analysis, gpu, kernels, matrices, telemetry
 from .errors import ReproError
 from .formats import to_format
-from .util import human_bytes
+from .util import atomic_write, human_bytes
 
 
 def _load_matrix(args):
@@ -55,30 +55,16 @@ def _load_matrix(args):
 
 
 def _atomic_write(path: str, payload: str, *, force: bool) -> None:
-    """Write ``payload`` to ``path`` via temp-file + rename.
+    """Write ``payload`` to ``path`` with :func:`~repro.util.atomic_write`.
 
     Refuses to clobber an existing file unless ``force``; a crash mid-write
     can never leave a truncated file at ``path``.
     """
     import os
-    import tempfile
 
     if os.path.exists(path) and not force:
         raise ReproError(f"{path} exists; pass --force to overwrite")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix="." + os.path.basename(path) + "."
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, payload)
 
 
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:

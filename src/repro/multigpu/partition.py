@@ -75,15 +75,6 @@ class MultiGPUPlan:
         )
         return self.n_gpus * self.a_bytes + 2.0 * strips
 
-    def fits(self, *, chunk_fraction: float = 0.25) -> bool:
-        """Can each GPU hold A plus double-buffered B/C chunks?
-
-        ``chunk_fraction`` is the share of the B strip staged at once.
-        """
-        chunk = self.b_strip_bytes * chunk_fraction
-        # A + 2 chunks of B (double buffer) + 2 chunks of C.
-        return self.a_bytes + 4 * chunk <= self.gpu_memory_bytes
-
 
 def plan_multi_gpu(
     n_rows: int,

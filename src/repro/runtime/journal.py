@@ -21,9 +21,12 @@ Design rules, in order of importance:
    truncated tail line that the loader tolerates (that item simply
    re-executes on resume).
 3. **Resume heals.**  When a load surfaces anomalies, the journal is
-   compacted — rewritten atomically (temp file + rename, the PR 3
-   pattern) with only the trusted entries — so distrusted lines do not
+   compacted — rewritten atomically (:func:`~repro.util.atomic_write`)
+   with only the trusted entries — so distrusted lines do not
    accumulate across resume cycles.
+
+The append, rewrite and line-reading mechanics are :class:`DurableLog`'s,
+shared with the resident service's intent log (:mod:`repro.service.state`).
 
 Schema v1, one object per line::
 
@@ -36,16 +39,17 @@ Entries whose fingerprint matches no item of the resuming batch are kept
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import JournalError
-from ..util import to_plain
+from ..telemetry import NULL_TRACER
+from ..util import atomic_write, to_plain
 from .cache import matrix_fingerprint
 from .record import RunRecord
 
@@ -141,115 +145,152 @@ class JournalReplay:
         }
 
 
-class RunJournal:
-    """One append-only JSONL journal file (see the module docstring).
+def read_log(path, what: str) -> list:
+    """``(lineno, doc)`` per non-blank line of a JSONL log; never raises on content.
 
-    The instance dedupes appends by fingerprint for its lifetime, so a
-    batch containing repeats of one request journals it once, and a
-    resumed run never re-appends what it replayed.
+    Each line decodes alone: one that is not UTF-8 or not JSON (a torn
+    append, a flipped byte, nesting too deep) has ``doc`` None.  A missing
+    file has no lines; a read failure raises :class:`JournalError`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw_lines = fh.read().split(b"\n")
+    except FileNotFoundError:
+        return []
+    except OSError as exc:
+        raise JournalError(f"cannot read {what} {path}: {exc}") from None
+    lines = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        if raw.strip():
+            try:
+                lines.append((lineno, json.loads(raw.decode("utf-8"))))
+            except (ValueError, RecursionError):  # incl. UnicodeDecodeError
+                lines.append((lineno, None))
+    return lines
+
+
+class DurableLog:
+    """One append-only JSONL file of keyed lines, written durably.
+
+    The run journal and the service's intent log are two instances.  An
+    append is one ``write`` + flush + fsync of one complete line, so a
+    crash can only ever cost the line being written; keys dedupe for the
+    instance's lifetime.  A write failure (``ENOSPC``, quota) never
+    raises: it strikes the log's ``plane`` (one loud stderr warning) and
+    later appends are skipped.  Each key not durably written counts once
+    in :attr:`lost` and, like a written one, is marked logged.  Answers
+    stay correct; a restart re-executes what was lost (at-least-once,
+    never silent loss — see docs/RELIABILITY.md).
     """
 
-    def __init__(self, path, *, pressure=None):
+    def __init__(self, path, plane: str, *, pressure=None):
         from .pressure import ResourcePressure
 
         self.path = str(path)
-        self._appended: set[str] = set()
+        self.plane = plane
+        #: keys this instance logged, lost, or loaded: appends skip them
+        self.keys: set[str] = set()
         #: lines durably written by this instance (dedupes excluded)
         self.appends = 0
-        #: appends *not* durably written because the journal is degraded
+        #: keys *not* durably written because the log is degraded
         self.lost = 0
         #: resource-exhaustion policy (shareable across planes — the
         #: service shares one instance across journal/intent/persist)
         self.pressure = pressure if pressure is not None else ResourcePressure()
+        #: where writes are counted: ``<plane>.appends`` per durable line,
+        #: ``durability.lost`` per lost key (set by the log's owner)
+        self.metrics = NULL_TRACER.metrics
 
     @property
     def degraded(self) -> bool:
-        """True once a write failure flipped this journal non-durable."""
-        return self.pressure.is_degraded("journal")
+        """True once a write failure flipped this log non-durable."""
+        return self.pressure.is_degraded(self.plane)
+
+    def append_line(self, key: str, render) -> bool:
+        """Durably append ``render()`` (rendered only if written) under ``key``.
+
+        True when the line landed, False for a dedupe or a loss.
+        """
+        if key in self.keys:
+            return False
+        if not self.degraded:
+            line = render()
+            try:
+                with open(self.path, "a") as fh:
+                    fh.write(line + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except OSError as exc:
+                self.pressure.strike(self.plane, exc)
+            else:
+                self.keys.add(key)
+                self.appends += 1
+                self.metrics.counter(f"{self.plane}.appends").inc()
+                return True
+        self.keys.add(key)
+        self.lost += 1
+        self.pressure.record_lost(self.plane)
+        self.metrics.counter("durability.lost").inc()
+        return False
+
+    def rewrite(self, lines: dict) -> bool:
+        """Atomically replace the file with ``lines`` (key → line), in order.
+
+        A crash mid-rewrite leaves the previous file whole, which is also
+        why a failed rewrite (disk full) degrades instead of raising.  The
+        keys become the logged set (join it on failure); returns whether
+        the rewrite landed.
+        """
+        try:
+            atomic_write(self.path, "".join(line + "\n" for line in lines.values()))
+        except OSError as exc:
+            self.pressure.strike(self.plane, exc)
+            self.keys.update(lines)
+            return False
+        self.keys = set(lines)
+        return True
+
+
+class RunJournal(DurableLog):
+    """The batch run journal: a :class:`DurableLog` of verified records.
+
+    Appends dedupe by fingerprint, so a batch containing repeats of one
+    request journals it once, and a resumed run never re-appends what it
+    replayed (see the module docstring).
+    """
+
+    def __init__(self, path, *, pressure=None):
+        super().__init__(path, "journal", pressure=pressure)
 
     # -------------------------------------------------------------- writes
     def append(self, fingerprint: str, record: RunRecord) -> bool:
         """Append one completed item durably; returns False when it didn't.
 
-        The line is built in full before any I/O and written with a
-        single ``write`` + flush + fsync, so a crash can only ever cost
-        the line being written, never an earlier one.
-
-        A write failure (``ENOSPC``, quota, permissions) does **not**
-        raise and does **not** kill the batch: the journal flips into a
-        loud non-durable degraded mode — the strike warns on stderr once,
-        every skipped append is counted in :attr:`lost` (surfaced as the
-        ``durability.lost`` metric), and the batch keeps completing.
-        Results stay correct; the cost is purely that a later resume
-        re-executes what could not be journaled (at-least-once, never
-        silent loss — see docs/RELIABILITY.md).
+        False means a dedupe or a loss to a degraded journal (see
+        :class:`DurableLog`); the batch keeps completing either way.
         """
-        if fingerprint in self._appended:
-            return False
-        if self.degraded:
-            self.lost += 1
-            self.pressure.record_lost("journal")
-            return False
-        line = _entry_line(fingerprint, record)
-        try:
-            with open(self.path, "a") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            self.pressure.strike("journal", exc)
-            self.lost += 1
-            self.pressure.record_lost("journal")
-            return False
-        self._appended.add(fingerprint)
-        self.appends += 1
-        return True
+        return self.append_line(
+            fingerprint, functools.partial(_entry_line, fingerprint, record)
+        )
 
     def seed_replayed(self, replay: JournalReplay) -> None:
         """Mark a load's trusted fingerprints as already journaled."""
-        self._appended.update(replay.records)
+        self.keys.update(replay.records)
 
     def compact(self, replay: JournalReplay) -> bool:
         """Atomically rewrite the file with only ``replay``'s trusted entries.
 
         Called on resume when the load reported anomalies: distrusted
         lines are dropped so they cannot re-trigger on the next resume,
-        and the re-executed items append fresh verified entries.  The
-        temp-file + rename pattern means a crash mid-compaction leaves
-        the previous journal intact — which is also why a *failed*
-        compaction (disk full) degrades instead of raising: the old
-        journal is still whole, anomalies simply re-surface on the next
-        resume.  Returns whether the rewrite landed.
+        and the re-executed items append fresh verified entries.  A
+        failed compaction leaves the old journal whole (anomalies simply
+        re-surface on the next resume).  Returns whether it landed.
         """
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        try:
-            fd, tmp = tempfile.mkstemp(
-                dir=directory, prefix="." + os.path.basename(self.path) + "."
-            )
-        except OSError as exc:
-            self.pressure.strike("journal", exc)
-            self.seed_replayed(replay)
-            return False
-        try:
-            with os.fdopen(fd, "w") as fh:
-                for fp in replay.order:
-                    record = replay.records.get(fp)
-                    if record is None:
-                        continue
-                    fh.write(_entry_line(fp, record) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            self.pressure.strike("journal", exc)
-            self.seed_replayed(replay)
-            return False
-        self.seed_replayed(replay)
-        return True
+        return self.rewrite({
+            fp: _entry_line(fp, replay.records[fp])
+            for fp in replay.order
+            if fp in replay.records
+        })
 
     def resume(self) -> JournalReplay:
         """Load this journal to resume from it; returns the load.
@@ -279,19 +320,7 @@ class RunJournal:
         """
         path = str(path)
         replay = JournalReplay(path=path)
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            return replay
-        except OSError as exc:
-            raise JournalError(f"cannot read journal {path}: {exc}") from None
-
-        lines = [
-            (lineno, line)
-            for lineno, line in enumerate(text.split("\n"), start=1)
-            if line.strip()
-        ]
+        lines = read_log(path, "journal")
         replay.total_lines = len(lines)
         distrusted: set[str] = set()
 
@@ -302,11 +331,9 @@ class RunJournal:
             if fingerprint is not None:
                 distrusted.add(fingerprint)
 
-        for pos, (lineno, line) in enumerate(lines):
-            is_tail = pos == len(lines) - 1
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
+        for pos, (lineno, doc) in enumerate(lines):
+            if doc is None:
+                is_tail = pos == len(lines) - 1
                 flag(lineno, "truncated_tail" if is_tail else "corrupt_line")
                 continue
             if not isinstance(doc, dict):

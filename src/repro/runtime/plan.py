@@ -52,10 +52,21 @@ class SpmmRequest:
     backend: str | None = None
 
     def __post_init__(self):
-        if self.dense is None and self.k is None:
-            raise ConfigError("SpmmRequest needs either dense or k")
+        # Invalid requests fail here, before they can join (and poison)
+        # a fused window or reach a worker.
+        if self.dense is None and (self.k is None or self.k < 1):
+            raise ConfigError(f"SpmmRequest needs dense or k >= 1, got k={self.k}")
+        if self.dense is not None and (
+            np.ndim(self.dense) != 2 or len(self.dense) != self.matrix.n_cols
+        ):
+            raise ConfigError(
+                f"dense operand must be 2-D with {self.matrix.n_cols} rows "
+                f"(the matrix's columns), got shape {np.shape(self.dense)}"
+            )
         if self.tile_width <= 0:
             raise ConfigError("tile_width must be positive")
+        if self.ssf_threshold is not None and self.ssf_threshold < 0:
+            raise ConfigError("ssf_threshold must be non-negative")
         if self.backend is not None:
             from ..kernels.backends import resolve_backend
 

@@ -89,8 +89,6 @@ class Planner:
             if request.ssf_threshold is not None
             else self.ssf_threshold
         )
-        if threshold < 0:
-            raise ConfigError("ssf_threshold must be non-negative")
         matrix = request.matrix
         with tracer.span("plan.ssf"):
             s = ssf_value(matrix, request.tile_width)

@@ -9,14 +9,14 @@ directory holds both halves::
     <state_dir>/accepted.jsonl   one line per admitted request (this module)
     <state_dir>/journal.jsonl    one line per completed record (RunJournal)
 
-The write discipline mirrors the journal's: an intent is one complete
-JSON line written with a single ``write`` + flush + fsync *before* the
-request is queued, so a crash can lose at most the request being
-accepted at that instant — and that client never got its 200, so nothing
-admitted is ever silently dropped.  On restart,
-``accepted - journaled = the recovery set``: exactly the requests that
-were in flight when the process died, re-executed before the socket
-reopens.
+Both are :class:`~repro.runtime.journal.DurableLog` instances, so they
+share one writer: an intent is one complete JSON line written with a
+single ``write`` + flush + fsync *before* the request is queued, so a
+crash can lose at most the request being accepted at that instant — and
+that client never got its 200, so nothing admitted is ever silently
+dropped.  On restart, ``accepted - journaled = the recovery set``:
+exactly the requests that were in flight when the process died,
+re-executed before the socket reopens.
 
 Intent lines are self-describing (schema v1)::
 
@@ -27,22 +27,20 @@ Intent lines are self-describing (schema v1)::
 ``fingerprint`` is the :func:`~repro.service.protocol.service_fingerprint`
 (request fingerprint x ladder rung), ``matrix`` a
 :func:`~repro.matrices.from_spec` spec — everything needed to rebuild and
-re-run the request at the same rung it was admitted at.  Loading
-tolerates a torn tail line and skips anything it cannot trust (a
-distrusted intent can only cause a redundant re-execution, which the
-journal dedupes — never a loss).  :meth:`ServiceState.compact_accepted`
-rewrites the log atomically with only still-outstanding intents so it
-stays bounded across restarts.
+re-run the request at the same rung it was admitted at.  Loading uses the
+journal's line reader: it tolerates a torn tail line and skips anything
+it cannot decode or trust (a distrusted intent can only cause a redundant
+re-execution, which the journal dedupes — never a loss).
+:meth:`ServiceState.compact_accepted` rewrites the log atomically with
+only still-outstanding intents so it stays bounded across restarts.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
-from ..errors import JournalError
-from ..runtime.journal import RunJournal
+from ..runtime.journal import DurableLog, RunJournal, read_log
 
 #: Intent-line schema version; bump on incompatible change.
 STATE_VERSION = 1
@@ -50,6 +48,13 @@ STATE_VERSION = 1
 #: Fields every trusted intent line must carry.
 _REQUIRED = ("fingerprint", "tenant", "matrix", "k", "seed", "tile_width",
              "lane", "rung")
+
+
+def _intent_line(intent: dict) -> str:
+    """One complete schema-v1 intent line (no trailing newline)."""
+    doc = {"version": STATE_VERSION, "kind": "accepted"}
+    doc.update({k: intent[k] for k in _REQUIRED})
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 class ServiceState:
@@ -62,19 +67,16 @@ class ServiceState:
         os.makedirs(self.state_dir, exist_ok=True)
         self.accepted_path = os.path.join(self.state_dir, "accepted.jsonl")
         self.journal_path = os.path.join(self.state_dir, "journal.jsonl")
-        #: resource-exhaustion policy, shared with the completion journal
-        #: so the service reports one unified per-plane health view
+        #: resource-exhaustion policy, shared by both logs so the service
+        #: reports one unified per-plane health view
         self.pressure = pressure if pressure is not None else ResourcePressure()
         #: the completion journal (shared instance so appends dedupe)
         self.journal = RunJournal(self.journal_path, pressure=self.pressure)
-        self._accepted_fps: set[str] = set()
-        #: intents *not* durably logged because the plane is degraded
-        self.lost = 0
-
-    @property
-    def degraded(self) -> bool:
-        """True once an intent-log write failure degraded durability."""
-        return self.pressure.is_degraded("intent")
+        #: the intent log, keyed by service fingerprint (its ``degraded``
+        #: and ``lost`` report the intent plane's durability)
+        self.intents = DurableLog(
+            self.accepted_path, "intent", pressure=self.pressure
+        )
 
     # -------------------------------------------------------------- writes
     def record_accepted(self, intent: dict) -> bool:
@@ -83,76 +85,30 @@ class ServiceState:
         Must be called *before* the request becomes visible to the
         dispatcher — the ordering is the crash-safety argument.
 
-        A write failure (``ENOSPC``, quota) degrades instead of raising:
-        the service keeps admitting and answering correctly, the skipped
-        intents are counted in :attr:`lost` (the ``durability.lost``
-        metric), and the weakened contract is exactly "a crash between
-        acceptance and completion may drop this request" — the client
-        still gets its answer or its connection error, never a silent
-        wrong result (see docs/RELIABILITY.md).
+        A write failure (``ENOSPC``, quota) degrades instead of raising
+        (see :class:`~repro.runtime.journal.DurableLog`): the service
+        keeps admitting and answering correctly, and the weakened
+        contract is exactly "a crash between acceptance and completion
+        may drop this request" — the client still gets its answer or its
+        connection error, never a silent wrong result (see
+        docs/RELIABILITY.md).
         """
-        fp = intent["fingerprint"]
-        if fp in self._accepted_fps:
-            return False
-        doc = {"version": STATE_VERSION, "kind": "accepted"}
-        doc.update({k: intent[k] for k in _REQUIRED})
-        if self.degraded:
-            self.lost += 1
-            self.pressure.record_lost("intent")
-            self._accepted_fps.add(fp)
-            return False
-        line = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        try:
-            with open(self.accepted_path, "a") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            self.pressure.strike("intent", exc)
-            self.lost += 1
-            self.pressure.record_lost("intent")
-            self._accepted_fps.add(fp)
-            return False
-        self._accepted_fps.add(fp)
-        return True
+        return self.intents.append_line(
+            intent["fingerprint"], lambda: _intent_line(intent)
+        )
 
     def compact_accepted(self, outstanding: list) -> bool:
         """Atomically rewrite the intent log with only ``outstanding``.
 
         Called after recovery planning: intents whose records are already
-        journaled are dropped (temp file + rename, so a crash mid-compact
-        leaves the previous log intact — which is also why a *failed*
-        compaction degrades instead of raising: the previous log is still
-        whole, and already-journaled intents merely replay as dedupes on
-        the next restart).  Returns whether the rewrite landed.
+        journaled are dropped.  A failed compaction degrades instead of
+        raising — the previous log is still whole, and already-journaled
+        intents merely replay as dedupes on the next restart.  Returns
+        whether the rewrite landed.
         """
-        directory = self.state_dir or "."
-        try:
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".accepted.")
-        except OSError as exc:
-            self.pressure.strike("intent", exc)
-            return False
-        try:
-            with os.fdopen(fd, "w") as fh:
-                for intent in outstanding:
-                    doc = {"version": STATE_VERSION, "kind": "accepted"}
-                    doc.update({k: intent[k] for k in _REQUIRED})
-                    fh.write(
-                        json.dumps(doc, sort_keys=True,
-                                   separators=(",", ":")) + "\n"
-                    )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.accepted_path)
-        except OSError as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            self.pressure.strike("intent", exc)
-            return False
-        self._accepted_fps = {i["fingerprint"] for i in outstanding}
-        return True
+        return self.intents.rewrite(
+            {i["fingerprint"]: _intent_line(i) for i in outstanding}
+        )
 
     # --------------------------------------------------------------- reads
     def load_accepted(self) -> list:
@@ -162,23 +118,8 @@ class ServiceState:
         (including a torn tail) are skipped — the affected request was
         never acknowledged, or will simply be re-accepted by its client.
         """
-        try:
-            with open(self.accepted_path) as fh:
-                text = fh.read()
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise JournalError(
-                f"cannot read intent log {self.accepted_path}: {exc}"
-            ) from None
         intents, seen = [], set()
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                continue
+        for _, doc in read_log(self.accepted_path, "intent log"):
             if (
                 not isinstance(doc, dict)
                 or doc.get("version") != STATE_VERSION
@@ -191,5 +132,5 @@ class ServiceState:
                 continue
             seen.add(doc["fingerprint"])
             intents.append({k: doc[k] for k in _REQUIRED})
-        self._accepted_fps |= seen
+        self.intents.keys |= seen
         return intents

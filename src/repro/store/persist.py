@@ -42,7 +42,7 @@ import time
 import numpy as np
 
 from ..errors import OperandCorruptionError
-from ..util import canonical_json
+from ..util import atomic_write, canonical_json
 from .layout import (
     ADAPTERS,
     array_crc32,
@@ -128,32 +128,30 @@ class PersistentFormatStore:
         return os.path.join(self.root, self.MANIFEST)
 
     def _load_manifest(self) -> dict:
+        """The manifest on disk; never raises on content.
+
+        A missing, undecodable or unparsable manifest, a non-object, or
+        one of an unknown layout is treated as empty (its entries are
+        re-derived) rather than misread.
+        """
+        empty = {"version": MANIFEST_VERSION, "seq": 0, "matrices": {}, "entries": {}}
         try:
             with open(self._manifest_path(), encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {"version": MANIFEST_VERSION, "seq": 0, "matrices": {}, "entries": {}}
-        if manifest.get("version") != MANIFEST_VERSION:
-            # Unknown layout: treat as empty rather than misread it.
-            return {"version": MANIFEST_VERSION, "seq": 0, "matrices": {}, "entries": {}}
+        except (FileNotFoundError, ValueError, RecursionError):
+            return empty
+        if not isinstance(manifest, dict) or any(
+            not isinstance(manifest.get(key), type(value))
+            for key, value in empty.items()
+        ) or manifest["version"] != MANIFEST_VERSION:
+            return empty
         return manifest
 
     def _write_manifest(self) -> None:
-        path = self._manifest_path()
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest, fh, sort_keys=True, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        try:
-            dirfd = os.open(self.root, os.O_RDONLY)
-            try:
-                os.fsync(dirfd)
-            finally:
-                os.close(dirfd)
-        except OSError:
-            pass
+        atomic_write(
+            self._manifest_path(),
+            json.dumps(self._manifest, sort_keys=True, indent=1),
+        )
 
     # --------------------------------------------------------------- paths
     def _abs(self, rel: str) -> str:

@@ -11,7 +11,8 @@ DCSR C-stationary winners, online tiled DCSR) plus a COO input with
 duplicate coordinates; k in {16, 64}; the service's three ladder rungs;
 every installed backend; a cold run followed by a plan-cache hit on the
 same runtime; and, at rung 0, both batch transports (serial and the
-supervised pool, with and without fused windows).
+supervised pool, with and without fused windows) plus a resume that
+replays the whole batch from its journal.
 
 Regenerate only when a change to records is intended, and say why in
 CHANGES.md::
@@ -47,8 +48,10 @@ NAMES = (*SPECS, "coo_duplicates")
 KS = (16, 64)
 GPU = "gv100"
 
-#: batch path -> (workers, coalesce)
-BATCH_PATHS = {"serial": (1, False), "pool": (2, False), "fused": (2, True)}
+#: batch path -> (workers, coalesce); "resumed" journals the batch, then
+#: replays it with ``resume=True`` on a fresh executor
+BATCH_PATHS = {"serial": (1, False), "pool": (2, False), "fused": (2, True),
+               "resumed": (1, False)}
 
 
 def coo_with_duplicates() -> COOMatrix:
@@ -116,14 +119,23 @@ def test_digests_match_fixture(backend):
 
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("path", BATCH_PATHS)
-def test_batch_digests_match_fixture(path, name):
+def test_batch_digests_match_fixture(path, name, tmp_path):
     """Every batch transport reproduces the pinned rung-0 digests."""
     workers, coalesce = BATCH_PATHS[path]
-    matrix = build_matrix(name)
-    executor = ParallelExecutor(SpmmRuntime(get_config(GPU)), workers=workers)
-    results = executor.run_batch(
-        [SpmmRequest(matrix, k=k, seed=k + 1) for k in KS], coalesce=coalesce
-    )
+    requests = [SpmmRequest(build_matrix(name), k=k, seed=k + 1) for k in KS]
+    journal = tmp_path / "run.jsonl" if path == "resumed" else None
+
+    def run_batch(resume=False):
+        executor = ParallelExecutor(SpmmRuntime(get_config(GPU)), workers=workers)
+        return executor.run_batch(
+            requests, coalesce=coalesce, journal=journal, resume=resume
+        )
+
+    results = run_batch()
+    if path == "resumed":
+        results = run_batch(resume=True)
+        assert results.n_replayed == len(KS)
+        assert results.stats["executed"] == 0
     assert results.ok
     # the fused cell must really have run one wide pass for both ks
     assert all(("coalesce" in r.record.extras) == coalesce for r in results)

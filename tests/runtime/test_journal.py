@@ -9,8 +9,12 @@ compaction must heal the file so anomalies don't accumulate.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import GV100
 from repro.matrices import uniform_random
@@ -22,6 +26,7 @@ from repro.runtime import (
     SpmmRuntime,
     request_fingerprint,
 )
+from repro.runtime.journal import ANOMALY_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +249,43 @@ class TestResumeDistrust:
         assert final.journal_summary["anomalies"] == []
         assert [r.replayed for r in final] == [True, True]
         assert final.stats["executed"] == 0
+
+
+#: raw lines a damaged journal may hold: not UTF-8, nested too deep to
+#: parse, valid JSON of the wrong shape
+HOSTILE_LINES = [b"\xff\xfe{}", b"[" * 100_000, b'"a string"', b"[1, 2]", b"{}"]
+
+
+@pytest.fixture(scope="module")
+def valid_lines(records, tmp_path_factory):
+    """The journal lines of ``records``, as bytes."""
+    path = tmp_path_factory.mktemp("lines") / "j.jsonl"
+    write_journal(path, records)
+    return path.read_bytes().splitlines()
+
+
+class TestRawBytes:
+    """The loader never raises on content; resume always heals."""
+
+    @settings(max_examples=60)
+    @given(lines=st.lists(
+        st.one_of(st.binary(max_size=40), st.sampled_from(HOSTILE_LINES),
+                  st.integers(0, 2)),
+        max_size=6,
+    ))
+    @example(lines=[0, b"\xff", 1])
+    @example(lines=[b"[" * 100_000])
+    def test_load_and_resume_never_raise(self, valid_lines, lines):
+        raw = b"\n".join(
+            valid_lines[x] if isinstance(x, int) else x for x in lines
+        )
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "j.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            replay = RunJournal.load(path)
+            assert {a["kind"] for a in replay.anomalies} <= set(ANOMALY_KINDS)
+            resumed = RunJournal(path).resume()
+            healed = RunJournal.load(path)
+        assert resumed.records.keys() == replay.records.keys()
+        assert healed.clean and healed.records.keys() == replay.records.keys()

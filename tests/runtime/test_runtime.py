@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.formats import COOMatrix
 from repro.gpu import GV100
 from repro.matrices import block_diagonal, uniform_random
@@ -38,6 +39,31 @@ def skewed():
 @pytest.fixture(scope="module")
 def uniform():
     return uniform_random(512, 512, 1e-3, seed=3)
+
+
+class TestRequestValidation:
+    """An invalid request fails at construction, so it can never reach
+    (and poison) a fused window or a worker."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"k": 0},
+        {"k": -3},
+        {"dense": np.ones(40, dtype=np.float32)},
+        {"dense": np.ones((41, 4), dtype=np.float32)},
+        {"dense": np.ones((39, 4), dtype=np.float32)},
+        {"dense": np.ones((40, 4, 1), dtype=np.float32)},
+        {"k": 4, "ssf_threshold": -5.0},
+    ], ids=["no-k", "k-zero", "k-negative", "dense-1d", "dense-rows-over",
+            "dense-rows-under", "dense-3d", "threshold-negative"])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            SpmmRequest(uniform_random(32, 40, 0.1, seed=1), **kwargs)
+
+    def test_explicit_dense_needs_no_k(self):
+        m = uniform_random(32, 40, 0.1, seed=1)
+        request = SpmmRequest(m, dense=np.ones((40, 4), dtype=np.float32), k=0)
+        assert request.dense_cols == 4
 
 
 class TestPlanCache:

@@ -1,9 +1,12 @@
 """Protocol validation and the durable accepted-intent log."""
 
 import json
+import os
+import tempfile
 
 import pytest
-
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service.protocol import (
     ProtocolError,
@@ -164,10 +167,34 @@ def test_record_accepted_degrades_instead_of_raising(tmp_path, capsys):
     # Make the intent path a directory so the append fails.
     os.mkdir(state.accepted_path)
     assert state.record_accepted(intent("f")) is False
-    assert state.degraded
-    assert state.lost == 1
+    assert state.intents.degraded
+    assert state.intents.lost == 1
     assert state.pressure.lost["intent"] == 1
     assert "intent plane degraded" in capsys.readouterr().err
     # Later acceptances are counted lost without retrying the bad path.
     assert state.record_accepted(intent("g")) is False
-    assert state.lost == 2
+    assert state.intents.lost == 2
+
+
+_INTENT_LINE = json.dumps({"version": 1, "kind": "accepted", **intent("ok")})
+
+
+@settings(max_examples=60)
+@given(lines=st.lists(
+    st.one_of(
+        st.binary(max_size=40),
+        st.sampled_from([_INTENT_LINE.encode(), b"[" * 100_000, b"[1]",
+                         b'{"version": 1}']),
+    ),
+    max_size=6,
+))
+@example(lines=[_INTENT_LINE.encode(), b"\xff\xfe"])
+@example(lines=[b"[" * 100_000])
+def test_load_accepted_never_raises_on_content(lines):
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "accepted.jsonl"), "wb") as fh:
+            fh.write(b"\n".join(lines))
+        loaded = ServiceState(d).load_accepted()
+    assert [i["fingerprint"] for i in loaded] == (
+        ["ok"] if _INTENT_LINE.encode() in lines else []
+    )

@@ -18,7 +18,7 @@ from repro.matrices import from_spec
 from repro.runtime import Planner, SpmmRequest, SpmmRuntime
 from repro.runtime.journal import RunJournal, request_fingerprint
 from repro.runtime.supervisor import ChaosFault
-from repro.service import LADDER, ServiceClient, ServiceState
+from repro.service import LADDER, ServiceClient, ServiceState, SpmmService
 from repro.service.protocol import service_fingerprint
 
 from .conftest import SPECS
@@ -220,6 +220,31 @@ def test_worker_kill_is_retried_to_parity(service_factory):
         stats = client.stats()["supervisor"]
     assert stats["worker_crashes"] >= 1
     assert stats["retries"] >= 1
+
+
+def test_dispatcher_death_fails_stranded_requests(service_factory, monkeypatch):
+    """A dead dispatcher answers each stranded request 500, counted as failed."""
+
+    class DispatcherBug(BaseException):
+        """Escapes every ``except Exception`` on the dispatch path."""
+
+    def plan_handle(self, pend):
+        raise DispatcherBug("planning thread crashed")
+
+    monkeypatch.setattr(SpmmService, "_plan_handle", plan_handle)
+    handle = service_factory()
+    with ServiceClient(handle.socket_path) as client:
+        resp = client.submit(SPECS[0])
+    assert resp["status"] == 500
+    failure = resp["failure"]
+    assert (failure["phase"], failure["error_type"]) == (
+        "dispatch", "SupervisionError"
+    )
+    summary = handle.stop()
+    assert summary["failed"] == 1
+    assert summary["dispatch_error"].startswith("DispatcherBug")
+    counters = handle.service.metrics.snapshot()["counters"]
+    assert counters["service.failed"] == 1
 
 
 # --------------------------------------------------------------- demotion
