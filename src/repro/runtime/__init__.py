@@ -27,6 +27,7 @@ from .cache import (
     PlanCache,
     invalidate_fingerprint,
     matrix_fingerprint,
+    mirror_cache_gauges,
     seed_fingerprint,
 )
 from .executor import ExecutionResult, Executor
@@ -191,24 +192,7 @@ class SpmmRuntime:
                 tracer.metrics.gauge("plan_cache.hit_ratio").set(
                     stats["hit_rate"]
                 )
-                # cache.* mirrors for SLO checks (docs/OBSERVABILITY.md):
-                # consumers read the precomputed rate/eviction gauges
-                # instead of recomputing from raw hit/miss counters.
-                tracer.metrics.gauge("cache.hit_rate").set(stats["hit_rate"])
-                tracer.metrics.gauge("cache.entries").set(stats["entries"])
-                tracer.metrics.gauge("cache.evictions").set(
-                    stats["evictions"]
-                )
-                if "disk_hits" in stats:
-                    # store.* mirrors for the persistence tier
-                    # (docs/STORAGE.md, docs/OBSERVABILITY.md).
-                    tracer.metrics.gauge("store.disk_hits").set(
-                        stats["disk_hits"]
-                    )
-                    tracer.metrics.gauge("store.spills").set(stats["spills"])
-                    tracer.metrics.gauge("store.disk_entries").set(
-                        stats["disk_entries"]
-                    )
+                mirror_cache_gauges(tracer.metrics, stats)
         if entry is not None:
             return entry.plan, entry.store, True
         plan = self.planner.plan(request, capabilities, tracer=tracer)

@@ -95,6 +95,20 @@ def invalidate_fingerprint(matrix) -> None:
     drop_container_memo(matrix)
 
 
+def mirror_cache_gauges(metrics, stats: dict) -> None:
+    """Set the ``cache.*`` gauges from :attr:`PlanCache.stats`.
+
+    Plus the disk tier's ``store.*`` ones when it has one.  SLO checks
+    read these precomputed gauges instead of recomputing from raw
+    hit/miss counters (docs/OBSERVABILITY.md, docs/STORAGE.md).
+    """
+    for name in ("hit_rate", "entries", "evictions"):
+        metrics.gauge(f"cache.{name}").set(stats[name])
+    for name in ("disk_hits", "spills", "disk_entries"):
+        if name in stats:
+            metrics.gauge(f"store.{name}").set(stats[name])
+
+
 @dataclass
 class CacheEntry:
     """One cached planning decision plus its materialized artifacts."""
