@@ -20,7 +20,6 @@ against it (see ``docs/PERFORMANCE.md`` for the refresh workflow).
 from __future__ import annotations
 
 import fnmatch
-import inspect
 import math
 import os
 import platform
@@ -211,41 +210,33 @@ def bench_formats_strip_extract(quick: bool) -> dict:
     return _result(wall, 3, m.nnz, "elements", strips=total)
 
 
-def bench_kernels_csr(quick: bool, *, backend: str | None = None) -> dict:
-    """The raw CSR SpMM arithmetic through one compiled-kernel backend.
+def bench_kernels_csr(quick: bool) -> dict:
+    """The raw CSR SpMM arithmetic over prepared operands.
 
-    Operand preparation (canonical CSR build, and for numba the JIT
-    warm-up) runs outside the timed region, so ``ops_per_s`` measures the
-    spmm arithmetic alone — the number the backend acceptance gate
-    compares across ``--backend`` values.  ``meta.bit_identical`` checks
-    the numeric-equality contract against the scipy reference on the same
-    operands (see ``docs/BACKENDS.md``).
+    Operand preparation (the canonical CSR build) runs outside the timed
+    region, so ``ops_per_s`` measures the spmm arithmetic alone.
+    ``meta.bit_identical`` checks it against the independent
+    :func:`~repro.kernels.reference.scipy_spmm` on the same operands.
     """
-    from .kernels.backends import get_backend, resolve_backend_name
-    from .kernels.reference import random_dense_operand
+    from .kernels.backends import canonical_csr, spmm
+    from .kernels.reference import random_dense_operand, scipy_spmm
 
     m = _matrix(quick)
     k = _dense_k(quick)
     dense = random_dense_operand(m.n_cols, k, seed=0)
-    name = resolve_backend_name(backend)
-    b = get_backend(name)
-    prepared = b.prepare(m)
+    prepared = canonical_csr(m)
     reps = 3 if quick else 5
-    wall = _best_wall_s(lambda: b.spmm(prepared, dense), reps)
-    out = b.spmm(prepared, dense)
-    ref = get_backend("scipy")
-    identical = np.array_equal(out, ref.spmm(ref.prepare(m), dense))
+    wall = _best_wall_s(lambda: spmm(prepared, dense), reps)
+    identical = np.array_equal(spmm(prepared, dense), scipy_spmm(m, dense))
     return _result(
-        wall, reps, 2.0 * m.nnz * k, "flop",
-        k=k, backend=name, bit_identical=bool(identical),
+        wall, reps, 2.0 * m.nnz * k, "flop", k=k, bit_identical=bool(identical)
     )
 
 
-def bench_kernels_online(quick: bool, *, backend: str | None = None) -> dict:
+def bench_kernels_online(quick: bool) -> dict:
     """The online tiled-DCSR SpMM kernel end to end."""
     from .formats.convert import FormatStore
     from .gpu import get_config
-    from .kernels.backends import resolve_backend_name
     from .kernels.hybrid import run_online_tiled
     from .kernels.reference import random_dense_operand
 
@@ -255,13 +246,10 @@ def bench_kernels_online(quick: bool, *, backend: str | None = None) -> dict:
     dense = random_dense_operand(m.n_cols, k, seed=0)
 
     def run():
-        run_online_tiled(m, dense, config, store=FormatStore(m), backend=backend)
+        run_online_tiled(m, dense, config, store=FormatStore(m))
 
     wall = _best_wall_s(run, reps=2)
-    return _result(
-        wall, 2, 2.0 * m.nnz * k, "flop",
-        k=k, backend=resolve_backend_name(backend),
-    )
+    return _result(wall, 2, 2.0 * m.nnz * k, "flop", k=k)
 
 
 def bench_planner_cache(quick: bool) -> dict:
@@ -444,7 +432,6 @@ def bench_service_coalescing(quick: bool) -> dict:
             index=i, plan=plan.to_dict(), matrix=m,
             fingerprint=fingerprint, k=r.k, seed=r.seed,
             tile_width=r.tile_width, ssf_threshold=r.ssf_threshold,
-            backend=plan.provenance.get("backend"),
         ))
     fused = FusedPlanHandle(index=len(requests), handles=tuple(handles))
     ctx = (config, False)
@@ -519,31 +506,15 @@ def select_benchmarks(include: list[str] | None) -> list[str]:
 
 
 def run_benchmarks(
-    *,
-    quick: bool = False,
-    include: list[str] | None = None,
-    backend: str | None = None,
+    *, quick: bool = False, include: list[str] | None = None
 ) -> dict:
     """Execute the suite and return the schema-versioned payload.
 
-    ``backend`` selects the arithmetic backend for the ``kernels.*``
-    benchmarks (resolved up front, so an unknown or uninstalled name
-    fails before any timing); ``include`` filters by glob and marks the
-    payload ``partial`` so comparisons skip what was not run.
+    ``include`` filters by glob and marks the payload ``partial`` so
+    comparisons skip what was not run.
     """
-    from .kernels.backends import resolve_backend
-
-    backend_name, _ = resolve_backend(backend)
     names = select_benchmarks(include)
-    results = {}
-    for name in names:
-        fn = BENCHMARKS[name]
-        kwargs = (
-            {"backend": backend_name}
-            if "backend" in inspect.signature(fn).parameters
-            else {}
-        )
-        results[name] = fn(quick, **kwargs)
+    results = {name: BENCHMARKS[name](quick) for name in names}
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "created_utc": datetime.now(timezone.utc).isoformat(
@@ -551,7 +522,6 @@ def run_benchmarks(
         ),
         "quick": bool(quick),
         "partial": include is not None,
-        "backend": backend_name,
         "machine": machine_info(),
         "benchmarks": results,
     }
@@ -626,14 +596,6 @@ def compare_payloads(
                 continue
             lines.append(f"  {name:<28} missing from current run")
             regressed.append(name)
-            continue
-        cur_backend = cur.get("meta", {}).get("backend")
-        base_backend = base.get("meta", {}).get("backend")
-        if cur_backend != base_backend:
-            lines.append(
-                f"  {name:<28} backend {cur_backend} != baseline "
-                f"{base_backend}; skipped"
-            )
             continue
         cur_ops, base_ops = cur["ops_per_s"], base["ops_per_s"]
         if base_ops <= 0:

@@ -82,20 +82,14 @@ class ConversionUnit:
         csc: CSCMatrix,
         *,
         tile_width: int = 64,
-        stepwise: bool = False,
-        fidelity: str | None = None,
+        fidelity: str = "fast",
         injector=None,
     ):
         self.partition_id = partition_id
         self.csc = csc
         self.tile_width = tile_width
-        #: ``fidelity`` wins when given; the legacy ``stepwise`` bool maps
-        #: onto it ("stepwise" vs the vectorized "fast" default).
-        self.fidelity = (
-            fidelity if fidelity is not None
-            else ("stepwise" if stepwise else "fast")
-        )
-        self.stepwise = self.fidelity == "stepwise"
+        #: "fast" (vectorized, the default) or "stepwise" (comparator tree)
+        self.fidelity = fidelity
         #: optional :class:`~repro.resilience.faults.StripFaultInjector`;
         #: None keeps the fault-free fast path byte-identical to before.
         self.injector = injector
@@ -271,8 +265,7 @@ def convert_matrix_online(
     *,
     tile_width: int = 64,
     config: GPUConfig = GV100,
-    stepwise: bool = False,
-    fidelity: str | None = None,
+    fidelity: str = "fast",
     tracer=None,
 ) -> OnlineConversion:
     """Convert every strip through its FB partition's engine.
@@ -288,8 +281,6 @@ def convert_matrix_online(
     from .pipeline import DEFAULT_STAGE_LATENCIES_NS
 
     tracer = NULL_TRACER if tracer is None else tracer
-    if fidelity is None:
-        fidelity = "stepwise" if stepwise else "fast"
     total_strips = count_strips(csc.n_cols, tile_width)
     strips = []
     stats = ConversionStats()

@@ -32,16 +32,6 @@ class ConfigError(ReproError):
     """
 
 
-class BackendUnavailableError(ConfigError):
-    """A compute backend was requested by name but cannot run here.
-
-    Raised by the kernel backend registry (:mod:`repro.kernels.backends`)
-    when an *explicitly requested* backend is known but not importable in
-    this environment (e.g. ``--backend numba`` without numba installed).
-    ``auto`` selection never raises this — it falls back instead.
-    """
-
-
 class SimulationError(ReproError):
     """The functional simulation reached an impossible state.
 

@@ -23,6 +23,8 @@ from .coo import COOMatrix
 _HEADER = "%%MatrixMarket"
 _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric", "skew-symmetric"}
+#: largest dimension whose indices fit the int64 index arrays
+_MAX_DIM = np.iinfo(np.int64).max
 
 
 def read_matrix_market(source, *, pattern_seed: int = 0) -> COOMatrix:
@@ -32,7 +34,10 @@ def read_matrix_market(source, *, pattern_seed: int = 0) -> COOMatrix:
     object.  Symmetric entries are mirrored; ``pattern`` matrices get
     uniform(0.1, 1] values drawn from ``pattern_seed``.
     """
-    text = _read_text(source)
+    try:
+        text = _read_text(source)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"Matrix Market input is not UTF-8: {exc.reason}") from None
     lines = iter(text.splitlines())
     try:
         header = next(lines)
@@ -49,45 +54,41 @@ def read_matrix_market(source, *, pattern_seed: int = 0) -> COOMatrix:
     if symmetry not in _SUPPORTED_SYMMETRIES:
         raise FormatError(f"unsupported symmetry {symmetry!r}")
 
-    size_line = None
-    for line in lines:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("%"):
-            size_line = stripped
-            break
-    if size_line is None:
+    entries = [
+        stripped for stripped in (line.strip() for line in lines)
+        if stripped and not stripped.startswith("%")
+    ]
+    if not entries:
         raise FormatError("missing size line")
+    size_line = entries.pop(0)
     try:
         n_rows, n_cols, nnz = (int(tok) for tok in size_line.split())
     except ValueError as exc:
         raise FormatError(f"bad size line: {size_line!r}") from exc
+    if min(n_rows, n_cols, nnz) < 0 or max(n_rows, n_cols) > _MAX_DIM:
+        raise FormatError(f"bad size line: {size_line!r}")
+    # The declared nnz is checked against the entries actually present
+    # before anything is allocated for it.
+    if len(entries) > nnz:
+        raise FormatError("more entries than declared nnz")
+    if len(entries) < nnz:
+        raise FormatError(f"declared nnz={nnz} but found {len(entries)} entries")
 
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    count = 0
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        toks = stripped.split()
-        if count >= nnz:
-            raise FormatError("more entries than declared nnz")
-        if field == "pattern":
-            if len(toks) < 2:
-                raise FormatError(f"bad pattern entry: {stripped!r}")
+    vals = np.zeros(nnz, dtype=np.float64)  # pattern values filled below
+    for i, entry in enumerate(entries):
+        toks = entry.split()
+        try:
             r, c = int(toks[0]), int(toks[1])
-            v = 0.0  # filled below
-        else:
-            if len(toks) < 3:
-                raise FormatError(f"bad entry: {stripped!r}")
-            r, c, v = int(toks[0]), int(toks[1]), float(toks[2])
-        rows[count] = r - 1  # Matrix Market is 1-indexed
-        cols[count] = c - 1
-        vals[count] = v
-        count += 1
-    if count != nnz:
-        raise FormatError(f"declared nnz={nnz} but found {count} entries")
+            if field != "pattern":
+                vals[i] = float(toks[2])
+        except (IndexError, ValueError):
+            raise FormatError(f"bad {field} entry: {entry!r}") from None
+        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
+            raise FormatError(f"entry out of range: {entry!r}")
+        rows[i] = r - 1  # Matrix Market is 1-indexed
+        cols[i] = c - 1
 
     if field == "pattern":
         rng = rng_from(pattern_seed)
@@ -96,10 +97,10 @@ def read_matrix_market(source, *, pattern_seed: int = 0) -> COOMatrix:
     if symmetry in ("symmetric", "skew-symmetric"):
         off = rows != cols
         sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        rows = np.concatenate([rows, cols[off]])
-        cols_new = np.concatenate([cols, rows[: count][off]])
+        rows, cols = (
+            np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        )
         vals = np.concatenate([vals, sign * vals[off]])
-        cols = cols_new
 
     return COOMatrix((n_rows, n_cols), rows, cols, vals.astype(VALUE_DTYPE))
 
@@ -131,7 +132,7 @@ def _read_text(source) -> str:
             raise FormatError("empty Matrix Market input")
         p = Path(source)
         if p.is_file():
-            return p.read_text()
+            return p.read_text(encoding="utf-8")
         if isinstance(source, str) and source.lstrip().startswith(_HEADER):
             return source
         raise FormatError(f"no such file: {source!r}")

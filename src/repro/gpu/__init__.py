@@ -8,19 +8,7 @@ from .counters import (
     StallBreakdown,
     TrafficCounters,
 )
-from .memory import (
-    MemorySystem,
-    partition_loads_for_schedule,
-    strip_partition_naive,
-    tile_partition_split,
-)
-from .scheduler import (
-    POLICIES,
-    ScheduleResult,
-    compare_policies,
-    row_block_costs,
-    schedule,
-)
+from .memory import MemorySystem, strip_partition_naive, tile_partition_split
 from .sm import (
     dcsr_tile_overhead,
     inactive_reduction,
@@ -58,7 +46,6 @@ __all__ = [
     "MemorySystem",
     "strip_partition_naive",
     "tile_partition_split",
-    "partition_loads_for_schedule",
     "row_per_warp_activity",
     "row_per_thread_activity",
     "dcsr_tile_overhead",
@@ -70,11 +57,6 @@ __all__ = [
     "DEFAULT_LAUNCH_OVERHEAD_S",
     "CrossbarModel",
     "XbarTraffic",
-    "POLICIES",
-    "ScheduleResult",
-    "schedule",
-    "compare_policies",
-    "row_block_costs",
     "DRAMTiming",
     "DRAMChannel",
     "effective_bandwidth",

@@ -95,20 +95,3 @@ def tile_partition_split(
     if n_partitions <= 0:
         raise ConfigError("n_partitions must be positive")
     return (strip_id + tile_row) % n_partitions
-
-
-def partition_loads_for_schedule(
-    assignments, bytes_per_item, n_partitions: int
-) -> np.ndarray:
-    """Aggregate per-partition bytes for a list of (partition, index) work
-    items; ``bytes_per_item`` may be scalar or a sequence aligned with
-    ``assignments``."""
-    loads = np.zeros(n_partitions, dtype=np.float64)
-    b = np.broadcast_to(
-        np.asarray(bytes_per_item, dtype=np.float64), (len(assignments),)
-    )
-    for (part, _), nb in zip(assignments, b):
-        if not 0 <= part < n_partitions:
-            raise SimulationError(f"partition {part} out of range")
-        loads[part] += nb
-    return loads

@@ -1,17 +1,6 @@
 """Simulated SpMM kernels: numeric results + structure-derived counters."""
 
-from .backends import (
-    AUTO_ORDER,
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    PreparedOperand,
-    SpmmBackend,
-    available_backends,
-    canonical_csr,
-    get_backend,
-    resolve_backend,
-    resolve_backend_name,
-)
+from .backends import PreparedOperand, canonical_csr
 from .common import (
     TILE_EDGE,
     b_operand_traffic,
@@ -44,20 +33,12 @@ from .reference import (
     scipy_spmm,
 )
 from .tiled_spmm import a_stationary_spmm, b_stationary_spmm
-from .traversal import ORDERS, TraversalEffects, tile_visit_order, traversal_effects
+from .traversal import ORDERS, TraversalEffects, traversal_effects
 
 __all__ = [
-    "AUTO_ORDER",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
     "PreparedOperand",
-    "SpmmBackend",
-    "available_backends",
     "canonical_csr",
     "compute_spmm",
-    "get_backend",
-    "resolve_backend",
-    "resolve_backend_name",
     "TILE_EDGE",
     "spmm_flops",
     "n_b_column_groups",
@@ -75,7 +56,6 @@ __all__ = [
     "ORDERS",
     "TraversalEffects",
     "traversal_effects",
-    "tile_visit_order",
     "SSF_TH_DEFAULT",
     "DEGRADATION_LADDER",
     "EngineHealth",

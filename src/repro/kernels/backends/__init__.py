@@ -1,108 +1,7 @@
-"""Pluggable compiled-kernel backends for the SpMM arithmetic.
-
-The simulated kernels split **compute** from **accounting**: the
-analytical model (DRAM traffic, stalls, row activity, SSF provenance) is
-a pure function of the plan and nonzero structure, while the actual
-``A @ B`` arithmetic dispatches through this registry.  Backends differ
-only in *how fast* they multiply — outputs are bit-identical float64 and
-every counter is invariant across them (see ``docs/BACKENDS.md``).
-
-Registry semantics:
-
-* :data:`BACKEND_NAMES` — the known names, in documentation order;
-* :data:`DEFAULT_BACKEND` — ``scipy``, the historical numeric path, so
-  existing record digests and baselines are unchanged by default;
-* ``auto`` — resolve to the fastest *available* backend in
-  :data:`AUTO_ORDER` (``numba`` → ``scipy`` → ``numpy``); never raises;
-* an unknown name raises :class:`~repro.errors.ConfigError` naming the
-  valid choices; a known-but-uninstalled name raises
-  :class:`~repro.errors.BackendUnavailableError` with an install hint.
-"""
+"""The SpMM arithmetic every simulated kernel shares (see :mod:`.base`)."""
 
 from __future__ import annotations
 
-from ...errors import BackendUnavailableError, ConfigError
-from .base import PreparedOperand, SpmmBackend, canonical_csr
-from .numba_backend import NumbaBackend
-from .numpy_backend import NumpyBackend
-from .scipy_backend import ScipyBackend
+from .base import PreparedOperand, canonical_csr, spmm
 
-#: every backend name the registry knows, whether or not importable here
-BACKEND_NAMES: tuple[str, ...] = ("numpy", "scipy", "numba")
-
-#: backend used when nothing is requested — the historical scipy path,
-#: keeping default outputs, digests, and bench baselines byte-identical
-DEFAULT_BACKEND = "scipy"
-
-#: preference order for ``auto``: fastest first, portable floor last
-AUTO_ORDER: tuple[str, ...] = ("numba", "scipy", "numpy")
-
-_REGISTRY: dict[str, SpmmBackend] = {
-    b.name: b for b in (NumpyBackend(), ScipyBackend(), NumbaBackend())
-}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names (in :data:`BACKEND_NAMES` order) importable in this env."""
-    return tuple(n for n in BACKEND_NAMES if _REGISTRY[n].available)
-
-
-def resolve_backend(name: str | None = None) -> tuple[str, tuple[str, ...]]:
-    """Resolve a requested name to ``(concrete_name, skipped_names)``.
-
-    ``None`` means :data:`DEFAULT_BACKEND`; ``"auto"`` walks
-    :data:`AUTO_ORDER` and returns the first available backend along with
-    the unavailable names it skipped (callers count those as
-    ``backend.fallback`` events).  Explicit names must be known *and*
-    available.
-    """
-    if name is None:
-        name = DEFAULT_BACKEND
-    name = str(name).lower()
-    if name == "auto":
-        skipped = []
-        for candidate in AUTO_ORDER:
-            if _REGISTRY[candidate].available:
-                return candidate, tuple(skipped)
-            skipped.append(candidate)
-        raise BackendUnavailableError(  # pragma: no cover — numpy always works
-            "no compute backend is available"
-        )
-    if name not in _REGISTRY:
-        valid = ", ".join((*BACKEND_NAMES, "auto"))
-        raise ConfigError(f"unknown backend {name!r}: valid backends are {valid}")
-    backend = _REGISTRY[name]
-    if not backend.available:
-        hint = f" ({backend.requires})" if backend.requires else ""
-        raise BackendUnavailableError(
-            f"backend {name!r} is not installed in this environment{hint}; "
-            f"available backends: {', '.join(available_backends())}"
-        )
-    return name, ()
-
-
-def resolve_backend_name(name: str | None = None) -> str:
-    """Like :func:`resolve_backend` but returns only the concrete name."""
-    return resolve_backend(name)[0]
-
-
-def get_backend(name: str | None = None) -> SpmmBackend:
-    """Return the backend object for ``name`` (default/auto rules apply)."""
-    return _REGISTRY[resolve_backend_name(name)]
-
-
-__all__ = [
-    "AUTO_ORDER",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "NumbaBackend",
-    "NumpyBackend",
-    "PreparedOperand",
-    "ScipyBackend",
-    "SpmmBackend",
-    "available_backends",
-    "canonical_csr",
-    "get_backend",
-    "resolve_backend",
-    "resolve_backend_name",
-]
+__all__ = ["PreparedOperand", "canonical_csr", "spmm"]

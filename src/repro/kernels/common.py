@@ -32,7 +32,7 @@ from ..gpu.config import GPUConfig
 from ..gpu.counters import InstructionMix, KernelResult, TrafficCounters
 from ..gpu.sm import dcsr_tile_overhead, row_per_warp_activity
 from ..util import MODEL_VALUE_BYTES, ceil_div
-from .backends import get_backend, resolve_backend_name
+from .backends.base import canonical_csr, spmm
 from .reference import check_operands
 
 #: Shared-memory B tile edge (the paper uses 64x64 to fill a 96 KB SM).
@@ -168,24 +168,23 @@ def spmm_flops(nnz: int, dense_cols: int) -> float:
 # a kernel body is mostly its traffic/activity model.
 
 
-def compute_spmm(matrix, dense, *, backend: str | None = None) -> np.ndarray:
-    """The *compute* half of every kernel: ``A @ B`` via a backend.
+def compute_spmm(matrix, dense) -> np.ndarray:
+    """The *compute* half of every kernel: float64 ``A @ B``.
 
-    Dispatches through :mod:`repro.kernels.backends`; ``backend`` may be a
-    registry name, ``"auto"``, or ``None`` for the default.  Whatever
-    backend runs, the float64 result is bit-identical — the accounting
-    half (:func:`b_operand_traffic` and friends) never sees this choice.
+    ``spmm(canonical_csr(matrix), dense)`` — scipy's product over the
+    container's memoized canonical CSR arrays.  The accounting half
+    (:func:`b_operand_traffic` and friends) never sees it.
     """
-    return get_backend(backend).execute(matrix, dense)
+    return spmm(canonical_csr(matrix), dense)
 
 
 #: Per-thread stack of active fused-result tables (see
 #: :class:`fused_results`).  Each table maps ``id(dense) -> (dense, out)``;
 #: the strong reference to the dense operand keeps its ``id`` from being
 #: recycled while the table is live, and the identity re-check on lookup
-#: makes a stale id harmless.  The stack is per thread because in-process
-#: thread pools run requests concurrently, and a table must only serve
-#: the kernels its own request calls.
+#: makes a stale id harmless.  The stack is per thread, so a table serves
+#: only the kernels of the request that installed it even when a caller
+#: runs requests from several threads of one process.
 _FUSED_RESULTS = threading.local()
 
 
@@ -238,21 +237,18 @@ def _fused_lookup(dense):
     return None
 
 
-def prepare_spmm(
-    matrix, dense, *, backend: str | None = None
-) -> tuple[np.ndarray, int, np.ndarray]:
+def prepare_spmm(matrix, dense) -> tuple[np.ndarray, int, np.ndarray]:
     """Validate operands and run the numeric product.
 
     Returns ``(b, k, out)``: the checked dense operand, its column count,
-    and the exact numeric result the kernel will report — computed by the
-    requested ``backend`` but bit-identical regardless of which one runs.
-    Under an active :class:`fused_results` context a registered operand's
-    result is returned without recomputing (the coalescing fast path).
+    and the exact numeric result the kernel will report.  Under an active
+    :class:`fused_results` context a registered operand's result is
+    returned without recomputing (the coalescing fast path).
     """
     out = _fused_lookup(dense)
     b = check_operands(matrix, dense)
     if out is None:
-        out = compute_spmm(matrix, b, backend=backend)
+        out = compute_spmm(matrix, b)
     return b, b.shape[1], out
 
 
@@ -355,11 +351,9 @@ def traced_kernel(fn):
         with tracer.span("kernel") as span:
             result = fn(*args, **kwargs)
             span.name = f"kernel:{result.algorithm}"
-            backend = resolve_backend_name(kwargs.get("backend"))
             t = result.traffic
             span.set_attributes(
                 algorithm=result.algorithm,
-                backend=backend,
                 flops=float(result.flops),
                 dram_bytes=float(t.total_bytes),
                 a_bytes=float(t.a_bytes),
@@ -369,8 +363,6 @@ def traced_kernel(fn):
             )
             tracer.metrics.counter("kernel.executions").inc()
             tracer.metrics.counter("kernel.dram_bytes").inc(float(t.total_bytes))
-            tracer.metrics.counter("backend.dispatch").inc()
-            tracer.metrics.counter(f"backend.dispatch.{backend}").inc()
             return result
 
     return wrapper

@@ -40,20 +40,14 @@ from .common import (
 
 @traced_kernel
 def csr_spmm(
-    csr: CSRMatrix,
-    dense: np.ndarray,
-    config: GPUConfig,
-    *,
-    backend: str | None = None,
+    csr: CSRMatrix, dense: np.ndarray, config: GPUConfig
 ) -> KernelResult:
     """Simulate the baseline CSR kernel; returns result + counters.
 
-    ``backend`` selects the arithmetic implementation only (see
-    ``docs/BACKENDS.md``); every counter below is a pure function of the
-    nonzero structure and is identical for all backends, so it is
-    memoized on ``csr`` per ``(k, config)``.
+    Every counter below is a pure function of the nonzero structure, so
+    it is memoized on ``csr`` per ``(k, config)``.
     """
-    _, k, out = prepare_spmm(csr, dense, backend=backend)
+    _, k, out = prepare_spmm(csr, dense)
     accounting = memoized(
         csr, ("csr_spmm", k, config.cache_key()),
         lambda: _accounting(csr, k, config),

@@ -35,18 +35,13 @@ from .common import (
 
 @traced_kernel
 def dcsr_spmm(
-    dcsr: DCSRMatrix,
-    dense: np.ndarray,
-    config: GPUConfig,
-    *,
-    backend: str | None = None,
+    dcsr: DCSRMatrix, dense: np.ndarray, config: GPUConfig
 ) -> KernelResult:
     """Simulate the untiled-DCSR C-stationary kernel.
 
-    ``backend`` selects the arithmetic implementation only; counters are
-    backend-invariant and memoized on ``dcsr`` per ``(k, config)``.
+    Counters are memoized on ``dcsr`` per ``(k, config)``.
     """
-    _, k, out = prepare_spmm(dcsr, dense, backend=backend)
+    _, k, out = prepare_spmm(dcsr, dense)
     accounting = memoized(
         dcsr, ("dcsr_spmm", k, config.cache_key()),
         lambda: _accounting(dcsr, k, config),

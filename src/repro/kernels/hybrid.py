@@ -55,7 +55,6 @@ def run_c_stationary_best(
     config: GPUConfig,
     *,
     store: FormatStore | None = None,
-    backend: str | None = None,
     tracer=None,
 ) -> VariantRun:
     """Better of untiled CSR and untiled DCSR (the paper plots their max).
@@ -67,17 +66,17 @@ def run_c_stationary_best(
     store = store if store is not None else FormatStore(matrix)
     csr = store.get("csr", tracer=tracer)
     dcsr = store.get("dcsr", tracer=tracer)
-    b, _, out = prepare_spmm(csr, dense, backend=backend)
+    b, _, out = prepare_spmm(csr, dense)
     with fused_results([(b, out)]):
         runs = [
             VariantRun(
                 "csr",
-                (r := csr_spmm(csr, b, config, backend=backend, tracer=tracer)),
+                (r := csr_spmm(csr, b, config, tracer=tracer)),
                 time_kernel(r, config),
             ),
             VariantRun(
                 "dcsr",
-                (r := dcsr_spmm(dcsr, b, config, backend=backend, tracer=tracer)),
+                (r := dcsr_spmm(dcsr, b, config, tracer=tracer)),
                 time_kernel(r, config),
             ),
         ]
@@ -91,7 +90,6 @@ def run_online_tiled(
     *,
     tile_width: int = 64,
     store: FormatStore | None = None,
-    backend: str | None = None,
     tracer=None,
 ) -> VariantRun:
     """B-stationary on engine-converted tiled DCSR (CSC in memory)."""
@@ -111,7 +109,6 @@ def run_online_tiled(
         dense,
         config,
         a_stream_bytes=online.dram_bytes,
-        backend=backend,
         tracer=tracer,
     )
     result.extras["conversion"] = online.stats_summary()
@@ -126,7 +123,6 @@ def run_offline_tiled(
     tile_width: int = 64,
     densify: bool = True,
     store: FormatStore | None = None,
-    backend: str | None = None,
     tracer=None,
 ) -> VariantRun:
     """B-stationary on an offline-materialized tiled container.
@@ -137,7 +133,7 @@ def run_offline_tiled(
     store = store if store is not None else FormatStore(matrix)
     target = "tiled_dcsr" if densify else "tiled_csr"
     tiled = store.get(target, tracer=tracer)
-    result = b_stationary_spmm(tiled, dense, config, backend=backend, tracer=tracer)
+    result = b_stationary_spmm(tiled, dense, config, tracer=tracer)
     name = "offline_tiled_dcsr" if densify else "offline_tiled_csr"
     return VariantRun(name, result, time_kernel(result, config))
 
@@ -149,7 +145,6 @@ def hybrid_spmm(
     *,
     ssf_threshold: float = SSF_TH_DEFAULT,
     tile_width: int = 64,
-    backend: str | None = None,
     tracer=None,
 ) -> VariantRun:
     """The full system: SSF-routed choice between the two paths.
@@ -162,9 +157,7 @@ def hybrid_spmm(
     from ..runtime.plan import SpmmRequest
 
     runtime = SpmmRuntime(config, ssf_threshold=ssf_threshold, tracer=tracer)
-    request = SpmmRequest(
-        matrix, dense=dense, tile_width=tile_width, backend=backend
-    )
+    request = SpmmRequest(matrix, dense=dense, tile_width=tile_width)
     return runtime.run(request).execution.run
 
 
@@ -175,30 +168,27 @@ def run_all_variants(
     *,
     tile_width: int = 64,
     store: FormatStore | None = None,
-    backend: str | None = None,
     tracer=None,
 ) -> dict[str, VariantRun]:
     """Every series Fig. 16 plots, keyed by variant name."""
     store = store if store is not None else FormatStore(matrix)
     best_c = run_c_stationary_best(
-        matrix, dense, config, store=store, backend=backend, tracer=tracer
+        matrix, dense, config, store=store, tracer=tracer
     )
     out = {
         "baseline_csr": VariantRun(
             "baseline_csr",
-            (r := csr_spmm(
-                store.get("csr"), dense, config, backend=backend, tracer=tracer
-            )),
+            (r := csr_spmm(store.get("csr"), dense, config, tracer=tracer)),
             time_kernel(r, config),
         ),
         "c_stationary_best": best_c,
         "online_tiled_dcsr": run_online_tiled(
             matrix, dense, config, tile_width=tile_width, store=store,
-            backend=backend, tracer=tracer,
+            tracer=tracer,
         ),
         "offline_tiled_dcsr": run_offline_tiled(
             matrix, dense, config, tile_width=tile_width, store=store,
-            backend=backend, tracer=tracer,
+            tracer=tracer,
         ),
     }
     return out
@@ -254,7 +244,6 @@ def degraded_spmm(
     health: EngineHealth,
     ssf_threshold: float = SSF_TH_DEFAULT,
     tile_width: int = 64,
-    backend: str | None = None,
     offline_available: bool = True,
 ) -> VariantRun:
     """Hybrid SpMM that walks the degradation ladder under engine faults.
@@ -270,9 +259,7 @@ def degraded_spmm(
     from ..runtime.plan import Capabilities, SpmmRequest
 
     runtime = SpmmRuntime(config, ssf_threshold=ssf_threshold)
-    request = SpmmRequest(
-        matrix, dense=dense, tile_width=tile_width, backend=backend
-    )
+    request = SpmmRequest(matrix, dense=dense, tile_width=tile_width)
     capabilities = Capabilities.from_health(health, offline_available=offline_available)
     outcome = runtime.run(request, capabilities=capabilities, enforce_ladder=True)
     execution = outcome.execution

@@ -14,9 +14,8 @@ regardless of skew; a worker may finish a row fragment, whose partial sum
 is combined with a cheap fix-up pass.
 
 ``merge_path_partition`` computes exact cut points by binary search on the
-diagonals; ``merge_balanced_activity`` converts them into the warp-activity
-counters used by the timing model, with the critical path set by the
-*largest* share (provably within one diagonal of perfect).
+diagonals; ``critical_path_items`` compares the largest share (provably
+within one diagonal of perfect) against per-row assignment.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..gpu.counters import InstructionMix
 from ..util import ceil_div
 
 
@@ -94,46 +92,6 @@ def merge_path_partition(row_ptr, n_workers: int) -> list[MergeSegment]:
         )
         prev = cut
     return segments
-
-
-def partition_is_balanced(segments: list[MergeSegment]) -> bool:
-    """Every worker's item count is within one diagonal of the maximum."""
-    if not segments:
-        return True
-    items = [s.n_items for s in segments]
-    return max(items) - min(i for i in items if i > 0 or True) <= max(
-        1, ceil_div(sum(items), len(segments))
-    )
-
-
-def merge_balanced_activity(
-    row_lengths,
-    dense_cols: int,
-    *,
-    n_workers: int,
-    warp_size: int = 32,
-) -> tuple[InstructionMix, int]:
-    """Warp activity under merge-path balancing, plus the critical path.
-
-    Returns ``(mix, critical_items)`` where ``critical_items`` is the
-    longest per-worker share of merge items — the quantity that replaces
-    the longest *row* as the limiter.  The aggregate instruction mix gains
-    a small fix-up term (one partial-sum combine per worker) but loses the
-    serialization of heavy rows.
-    """
-    lens = np.asarray(row_lengths, dtype=np.int64)
-    if dense_cols <= 0 or n_workers <= 0:
-        raise ConfigError("dense_cols and n_workers must be positive")
-    row_ptr = np.concatenate(([0], np.cumsum(lens)))
-    segments = merge_path_partition(row_ptr, n_workers)
-    from ..gpu.sm import row_per_warp_activity
-
-    mix = row_per_warp_activity(lens[lens > 0], 0, dense_cols, warp_size=warp_size)
-    # Fix-up: each worker publishes one partial row sum (K-wide) and one
-    # worker combines it — 2 extra warp-wide integer ops per worker.
-    mix.integer += 2 * n_workers * warp_size
-    critical = max((s.n_items for s in segments), default=0)
-    return mix, critical
 
 
 def critical_path_items(row_lengths, n_workers: int, *, merge: bool) -> int:

@@ -87,15 +87,12 @@ def b_stationary_spmm(
     traversal: str = "column_major",
     a_stream_bytes: float | None = None,
     tile_height: int = 64,
-    backend: str | None = None,
 ) -> KernelResult:
     """Simulate tiled B-stationary SpMM over a TiledCSR/TiledDCSR container.
 
     ``a_stream_bytes`` overrides the DRAM bytes of the A operand for one
     full pass (the online-conversion case, where memory holds compact CSC);
-    by default the tiled container's own footprint streams.  ``backend``
-    selects the arithmetic implementation only; counters are
-    backend-invariant.
+    by default the tiled container's own footprint streams.
     """
     if not isinstance(tiled, (TiledCSR, TiledDCSR)):
         raise ConfigError(
@@ -103,7 +100,7 @@ def b_stationary_spmm(
         )
     if tile_height <= 0:
         raise ConfigError(f"tile_height must be positive, got {tile_height}")
-    _, k, out = prepare_spmm(tiled, dense, backend=backend)
+    _, k, out = prepare_spmm(tiled, dense)
     key = ("b_stationary_spmm", k, config.cache_key(), traversal,
            a_stream_bytes, tile_height)
     accounting = memoized(
@@ -202,11 +199,7 @@ def _b_stationary_accounting(
 
 @traced_kernel
 def a_stationary_spmm(
-    tiled,
-    dense: np.ndarray,
-    config: GPUConfig,
-    *,
-    backend: str | None = None,
+    tiled, dense: np.ndarray, config: GPUConfig
 ) -> KernelResult:
     """The Section 3.1.1 strawman: A tiles pinned in shared memory.
 
@@ -218,7 +211,7 @@ def a_stationary_spmm(
         raise ConfigError(
             f"a_stationary_spmm needs a tiled container, got {type(tiled).__name__}"
         )
-    _, k, out = prepare_spmm(tiled, dense, backend=backend)
+    _, k, out = prepare_spmm(tiled, dense)
     profiles = _strip_profiles(tiled)
     llc = llc_bytes(config)
     is_dcsr = isinstance(tiled, TiledDCSR)

@@ -18,7 +18,6 @@ that asymmetry for the traffic model, and the Fig. 16 bench ablates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..errors import ConfigError
 
@@ -41,21 +40,3 @@ def traversal_effects(order: str) -> TraversalEffects:
     if order == "row_major":
         return TraversalEffects(c_cacheable=False, a_cacheable=True)
     raise ConfigError(f"unknown traversal order {order!r}; expected {ORDERS}")
-
-
-def tile_visit_order(
-    n_strips: int, n_groups: int, order: str
-) -> Iterator[tuple[int, int]]:
-    """Yield (strip, column_group) pairs in traversal order."""
-    if n_strips < 0 or n_groups < 0:
-        raise ConfigError("tile counts must be non-negative")
-    if order == "column_major":
-        for g in range(n_groups):
-            for s in range(n_strips):
-                yield s, g
-    elif order == "row_major":
-        for s in range(n_strips):
-            for g in range(n_groups):
-                yield s, g
-    else:
-        raise ConfigError(f"unknown traversal order {order!r}; expected {ORDERS}")

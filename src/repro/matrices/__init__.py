@@ -23,7 +23,7 @@ from .stats import (
     row_segment_nnz,
     strip_density_histogram,
 )
-from .suite import MatrixSpec, corpus, mini_corpus
+from .suite import MatrixSpec, corpus
 
 __all__ = [
     "GENERATORS",
@@ -47,5 +47,4 @@ __all__ = [
     "strip_density_histogram",
     "MatrixSpec",
     "corpus",
-    "mini_corpus",
 ]

@@ -126,17 +126,3 @@ def corpus(
             )
             idx += 1
     return specs
-
-
-def mini_corpus(seed: int = 2019) -> list[MatrixSpec]:
-    """A ~dozen-matrix corpus for unit tests and quick benches."""
-    full = corpus(scale=0.25, densities=(1e-3, 1e-2), seed=seed)
-    # One spec per family, both densities, square shapes only.
-    seen: set[str] = set()
-    picked = []
-    for spec in full:
-        key = (spec.family, spec.density)
-        if "_sq_" in spec.name and key not in seen:
-            seen.add(key)
-            picked.append(spec)
-    return picked

@@ -137,12 +137,11 @@ class SpmmRuntime:
         config: GPUConfig,
         *,
         ssf_threshold: float | None = None,
-        backend: str | None = None,
         cache: PlanCache | None = None,
         tracer=None,
     ):
         self.config = config
-        self.planner = Planner(config, ssf_threshold, backend)
+        self.planner = Planner(config, ssf_threshold)
         self.executor = Executor(config, planner=self.planner)
         self.cache = cache if cache is not None else PlanCache()
         #: telemetry sink for every run; NULL_TRACER = disabled, zero cost
@@ -155,10 +154,6 @@ class SpmmRuntime:
             if request.ssf_threshold is not None
             else self.planner.ssf_threshold
         )
-
-    def _effective_backend(self, request: SpmmRequest) -> str:
-        """Concrete backend name for ``request`` (cache-key axis)."""
-        return self.planner.resolve_request_backend(request)[0]
 
     def plan(
         self,
@@ -178,7 +173,6 @@ class SpmmRuntime:
             self.config,
             capabilities,
             self._effective_threshold(request),
-            self._effective_backend(request),
         )
         with tracer.span("cache_lookup") as span:
             entry = self.cache.lookup(key)
@@ -272,7 +266,6 @@ class SpmmRuntime:
                         self.config,
                         capabilities,
                         self._effective_threshold(request),
-                        self._effective_backend(request),
                     )
                 )
         if tracer.enabled:

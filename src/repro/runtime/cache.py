@@ -151,20 +151,8 @@ class PlanCache:
         config: GPUConfig,
         capabilities: Capabilities,
         ssf_threshold: float,
-        backend: str | None = None,
     ) -> tuple:
-        """The full planning context: anything that could change the plan.
-
-        ``backend`` is the *concrete* compute backend the plan will carry
-        in its provenance (resolved from the request when omitted).  It is
-        a key axis even though numerics are backend-invariant: a cached
-        plan replays its recorded backend, so the entry must not shadow a
-        request that asked for a different one.
-        """
-        from ..kernels.backends import resolve_backend_name
-
-        if backend is None:
-            backend = resolve_backend_name(request.backend)
+        """The full planning context: anything that could change the plan."""
         return (
             matrix_fingerprint(request.matrix),
             request.dense_cols,
@@ -172,7 +160,6 @@ class PlanCache:
             request.tile_width,
             round(float(ssf_threshold), 12),
             capabilities.cache_key(),
-            str(backend),
         )
 
     def lookup(self, key: tuple) -> CacheEntry | None:

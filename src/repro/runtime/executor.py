@@ -123,14 +123,10 @@ class Executor:
         if store is None:
             store = FormatStore(matrix)
         ladder: dict[str, float] = {}
-        # The planner resolved the concrete backend into provenance; plans
-        # from older records carry none and fall through to the default.
-        backend = plan.provenance.get("backend")
 
         if plan.algorithm == "c_stationary_best":
             run = run_c_stationary_best(
-                matrix, dense, self.config, store=store, backend=backend,
-                tracer=tracer,
+                matrix, dense, self.config, store=store, tracer=tracer
             )
             result = ExecutionResult(
                 run=run,
@@ -147,7 +143,6 @@ class Executor:
                 self.config,
                 tile_width=plan.tile_width,
                 store=store,
-                backend=backend,
                 tracer=tracer,
             )
             capacity = plan.capabilities.engine_capacity
@@ -186,7 +181,6 @@ class Executor:
                 self.config,
                 tile_width=plan.tile_width,
                 store=store,
-                backend=backend,
                 tracer=tracer,
             )
             if enforce_ladder:
@@ -200,9 +194,7 @@ class Executor:
                 reason=REASON_OFFLINE_FALLBACK if enforce_ladder else "",
             )
         elif plan.algorithm == "untiled_csr":
-            run = self._run_untiled_csr(
-                matrix, dense, store, backend=backend, tracer=tracer
-            )
+            run = self._run_untiled_csr(matrix, dense, store, tracer=tracer)
             if enforce_ladder:
                 ladder["untiled_csr"] = run.time_s
             result = ExecutionResult(
@@ -258,7 +250,6 @@ class Executor:
         dense,
         store: FormatStore,
         *,
-        backend: str | None = None,
         tracer=NULL_TRACER,
     ):
         """The ladder's bottom rung: plain CSR C-stationary."""
@@ -267,8 +258,7 @@ class Executor:
         from ..kernels.hybrid import VariantRun
 
         result = csr_spmm(
-            store.get("csr", tracer=tracer), dense, self.config,
-            backend=backend, tracer=tracer,
+            store.get("csr", tracer=tracer), dense, self.config, tracer=tracer
         )
         return VariantRun("untiled_csr", result, time_kernel(result, self.config))
 

@@ -4,17 +4,17 @@ The paper's central economics are that the sparse-matrix stream is paid
 once per *dense operand*, not once per vector — wider k amortizes the
 expensive CSR/DCSR traffic (Table 1, Fig. 16).  This module realizes
 that amortization across *requests*: a window of admitted requests that
-share a matrix fingerprint (and format config, backend, and degradation
-rung) is executed as ONE wide-k product whose columns are the members'
-dense operands concatenated side by side, then split back into
-per-request results.
+share a matrix fingerprint (and format config and degradation rung) is
+executed as ONE wide-k product whose columns are the members' dense
+operands concatenated side by side, then split back into per-request
+results.
 
-The contract that makes this safe is **column independence**: every
-registered backend computes each output column from its own B column by
-the same sequential stored-order accumulation, and every container
-canonicalizes to the same CSR arrays, so ``C_fused[:, lo:hi]`` is
-*bit-identical* to the standalone product (property-tested per backend
-in ``tests/runtime/test_fusion.py``).  Float32 operands convert to
+The contract that makes this safe is **column independence**: scipy's
+product computes each output column from its own B column by the same
+sequential stored-order accumulation, and every container canonicalizes
+to the same CSR arrays, so ``C_fused[:, lo:hi]`` is *bit-identical* to
+the standalone product (property-tested in
+``tests/runtime/test_fusion.py``).  Float32 operands convert to
 float64 exactly, so concatenate-then-convert equals convert-then-
 concatenate bitwise.  Identical dense operands (same content hash — the
 operand plane's PR 7 fingerprint path) are deduplicated into a single
@@ -157,7 +157,6 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
         denses.append(runtime._resolve_dense(request, store))
 
     base_matrix = members[0][2].matrix
-    backend = members[0][1]._effective_backend(members[0][2])
 
     # Content-addressed dedup: identical B shares one column range.
     spans_for: list[tuple] = []
@@ -183,7 +182,7 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
     # CSR container the members' solo kernels compute on: a COO request
     # matrix with duplicate coordinates canonicalizes differently (float64
     # duplicate sums vs the conversion's float32 rounding).
-    c_wide = compute_spmm(stores[0].get("csr"), wide, backend=backend)
+    c_wide = compute_spmm(stores[0].get("csr"), wide)
 
     # Identity-keyed result table: the wide operand (for the fused
     # accounting run) plus each member's operand mapped to its column
@@ -203,11 +202,10 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
         dense=wide,
         tile_width=lead_request.tile_width,
         ssf_threshold=lead_request.ssf_threshold,
-        backend=backend,
     )
     fused_key = PlanCache.key_for(
         fused_request, lead_runtime.config, lead_caps,
-        lead_runtime._effective_threshold(fused_request), backend,
+        lead_runtime._effective_threshold(fused_request),
     )
     with fused_results(pairs):
         if fused_key not in lead_runtime.cache._entries:
@@ -273,7 +271,6 @@ def execute_fused_handle(ctx, fused: FusedPlanHandle) -> dict:
             "dedup_hits": int(dedup_hits),
             "dedup_k_saved": int(total_k - fused_k),
             "passes_saved": len(members) - 1,
-            "backend": backend,
             "fused_digest": fused_record.digest(),
             **{f"fused_{k}": v for k, v in fused_facts.items()},
         },
@@ -350,15 +347,14 @@ def fan_out_failure(failed, item) -> list:
 def fusion_group_key(runtime, request) -> tuple:
     """The batch-side grouping key: requests fusable into one window.
 
-    Mirrors the service's window key — matrix fingerprint, format config
-    (tile width, effective SSF threshold), and concrete backend — so a
-    group shares one plan-compatible wide pass.
+    Mirrors the service's window key — matrix fingerprint and format
+    config (tile width, effective SSF threshold) — so a group shares one
+    plan-compatible wide pass.
     """
     return (
         matrix_fingerprint(request.matrix),
         request.tile_width,
         runtime._effective_threshold(request),
-        runtime._effective_backend(request),
     )
 
 

@@ -106,10 +106,6 @@ class PlanHandle:
     seed: int
     tile_width: int
     ssf_threshold: float | None
-    #: the *concrete* backend the parent's plan resolved to (from plan
-    #: provenance), so worker dispatch and cache keys match the parent's
-    #: even when the parent planned under an "auto" or runtime default.
-    backend: str | None = None
     dense: object = None
     #: serialized Capabilities the parent planned under (None = full).
     #: Shipping this keeps a demoted plan from being installed under the
@@ -212,7 +208,6 @@ def _handle_to_request(handle: PlanHandle) -> tuple[SpmmRequest, list]:
         seed=handle.seed,
         tile_width=handle.tile_width,
         ssf_threshold=handle.ssf_threshold,
-        backend=handle.backend,
     )
     if request.dense is None:
         request.dense = request.resolve_dense()
@@ -252,7 +247,6 @@ def _prepare_worker_item(config, handle: PlanHandle):
     key = PlanCache.key_for(
         request, runtime.config, capabilities,
         runtime._effective_threshold(request),
-        runtime._effective_backend(request),
     )
     if key not in runtime.cache._entries:
         store = _WORKER_STORES.get(handle.fingerprint)
@@ -353,7 +347,6 @@ def make_handle(
         seed=request.seed,
         tile_width=request.tile_width,
         ssf_threshold=request.ssf_threshold,
-        backend=plan.provenance.get("backend"),
         dense=dense,
         capabilities=(
             capabilities.to_dict() if capabilities is not None else None

@@ -46,10 +46,6 @@ class SpmmRequest:
     tile_width: int = 64
     #: None → use the planner's threshold
     ssf_threshold: float | None = None
-    #: compute backend name ("numpy"/"scipy"/"numba"/"auto");
-    #: None → use the planner's backend.  Numerics are bit-identical
-    #: across backends, so this never enters request fingerprints.
-    backend: str | None = None
 
     def __post_init__(self):
         # Invalid requests fail here, before they can join (and poison)
@@ -67,10 +63,6 @@ class SpmmRequest:
             raise ConfigError("tile_width must be positive")
         if self.ssf_threshold is not None and self.ssf_threshold < 0:
             raise ConfigError("ssf_threshold must be non-negative")
-        if self.backend is not None:
-            from ..kernels.backends import resolve_backend
-
-            resolve_backend(self.backend)  # fail fast on unknown/unavailable
 
     @property
     def dense_cols(self) -> int:

@@ -17,7 +17,6 @@ from ..errors import ConfigError
 from ..formats.tiled import n_strips as count_strips
 from ..gpu.config import GPUConfig
 from ..gpu.memory import strip_partition_naive
-from ..kernels.backends import resolve_backend
 from ..telemetry import NULL_TRACER
 from .plan import Capabilities, FULL_CAPABILITIES, SpmmPlan, SpmmRequest
 
@@ -31,9 +30,6 @@ class Planner:
 
     config: GPUConfig
     ssf_threshold: float | None = None
-    #: default compute backend for requests that don't name one
-    #: (None → registry default; numerics are backend-invariant)
-    backend: str | None = None
 
     def __post_init__(self):
         if self.ssf_threshold is None:
@@ -42,18 +38,6 @@ class Planner:
             self.ssf_threshold = SSF_TH_DEFAULT
         if self.ssf_threshold < 0:
             raise ConfigError("ssf_threshold must be non-negative")
-        if self.backend is not None:
-            resolve_backend(self.backend)  # fail fast on unknown/unavailable
-
-    def resolve_request_backend(self, request: SpmmRequest) -> tuple[str, tuple]:
-        """Concrete backend for ``request`` plus any names ``auto`` skipped.
-
-        The request's choice wins over the planner default; the resolved
-        name is stamped into plan provenance so executors (local or worker
-        processes) dispatch the same arithmetic the planner decided on.
-        """
-        requested = request.backend if request.backend is not None else self.backend
-        return resolve_backend(requested)
 
     def plan(
         self,
@@ -73,7 +57,6 @@ class Planner:
             if span.enabled:
                 span.set_attributes(
                     algorithm=plan.algorithm,
-                    backend=plan.provenance["backend"],
                     ssf=plan.provenance["ssf"],
                     ssf_threshold=plan.provenance["ssf_threshold"],
                     degraded=plan.provenance["degraded"],
@@ -106,13 +89,11 @@ class Planner:
                     tile=request.tile_width,
                 ).items()
             }
-        backend, skipped = self.resolve_request_backend(request)
-        for name in skipped:  # "auto" fell past an unavailable backend
-            tracer.metrics.counter("backend.fallback").inc()
-            tracer.metrics.counter(f"backend.fallback.{name}").inc()
         provenance = {
             "planner_version": PLANNER_VERSION,
-            "backend": backend,
+            # scipy computes every product; the key stays so records keep
+            # their bytes (RunRecord.digest excludes it)
+            "backend": "scipy",
             "ssf": float(s),
             "ssf_threshold": float(threshold),
             "predicted_traffic": predicted,

@@ -142,11 +142,11 @@ class RunRecord:
           request-coalescing plane, see :mod:`repro.runtime.fusion`) — a
           request served out of a fused wide-k window is bit-identical to
           its unfused run by contract, so it must digest the same;
-        * ``plan.provenance["backend"]`` — backends are bit-identical by
-          contract (every counter and the output hash already agree), so
-          the same request computed by numpy, scipy, or numba digests the
-          same.  The plan dict is copied before stripping: ``to_dict``
-          shares ``self.plan`` with the record.
+        * ``plan.provenance["backend"]`` — records from before scipy
+          became the only arithmetic may name numpy or numba there with
+          the same output and counters, so they (and the journals that
+          pin them) keep verifying.  The plan dict is copied before
+          stripping: ``to_dict`` shares ``self.plan`` with the record.
         """
         d = self.to_dict()
         d["extras"].pop("trace_summary", None)

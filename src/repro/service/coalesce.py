@@ -1,7 +1,7 @@
 """Bounded time/size coalescing window for the resident SpMM service.
 
 The dispatcher holds admitted requests that share a fusion key —
-``(matrix_fingerprint, format config, backend, rung)`` — for at most
+``(matrix_fingerprint, format config, rung)`` — for at most
 ``window_s`` seconds (or until the window's summed dense width would
 exceed ``max_k``), then emits the group as one fused wide-k execution
 (see :mod:`repro.runtime.fusion`).  The paper's amortization applies

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from ..errors import ReproError
@@ -90,7 +91,9 @@ def decode_message(line: bytes | str) -> dict:
     """Parse one frame; raises :class:`ProtocolError` on junk."""
     try:
         doc = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integer literals over
+        # Python's digit limit; RecursionError, nesting too deep to parse
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ProtocolError("request must be a JSON object")
@@ -134,13 +137,18 @@ def parse_submit(doc: dict) -> SubmitRequest:
         raise ProtocolError(f"lane must be one of {list(LANES)}, got {lane!r}")
     deadline_s = doc.get("deadline_s")
     if deadline_s is not None:
-        if not isinstance(deadline_s, (int, float)) or isinstance(
+        number = isinstance(deadline_s, (int, float)) and not isinstance(
             deadline_s, bool
-        ) or deadline_s <= 0:
+        )
+        try:
+            seconds = float(deadline_s) if number else math.nan
+        except OverflowError:  # an integer too large for a float
+            seconds = math.inf
+        if not (math.isfinite(seconds) and seconds > 0):
             raise ProtocolError(
-                f"deadline_s must be a positive number, got {deadline_s!r}"
+                f"deadline_s must be a finite positive number, got {deadline_s!r}"
             )
-        deadline_s = float(deadline_s)
+        deadline_s = seconds
     return SubmitRequest(
         id=request_id(doc),
         tenant=tenant,

@@ -119,20 +119,6 @@ LADDER: tuple = (
 assert len(LADDER) == N_RUNGS
 
 
-def rung_backend(backend: str, rung: int) -> str:
-    """The compute backend a request runs with at degradation rung ``rung``.
-
-    Rung 0 keeps the service's configured backend.  Demoted rungs (the
-    deadline-pressure path) also demote ``numba`` to ``numpy``: a JIT
-    backend can stall a cold worker for hundreds of milliseconds of
-    compilation — exactly the latency a demoted request cannot afford —
-    while outputs are bit-identical either way (``docs/BACKENDS.md``).
-    """
-    if rung > 0 and backend == "numba":
-        return "numpy"
-    return backend
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything one :class:`SpmmService` instance is configured by."""
@@ -144,10 +130,6 @@ class ServiceConfig:
     workers: int = 2
     gpu: str = "gv100"
     ssf_threshold: float | None = None
-    #: compute backend for kernel arithmetic (``repro.kernels.backends``
-    #: name or "auto"); None → registry default.  Demoted rungs swap
-    #: numba for numpy — see :func:`rung_backend`.
-    backend: str | None = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: worker supervision knobs; ``max_pending`` is overridden to the
     #: worker count so the backlog stays in the service's lanes
@@ -204,16 +186,11 @@ class SpmmService:
     """
 
     def __init__(self, config: ServiceConfig):
-        from ..kernels.backends import resolve_backend_name
-
         self.config = config
         self.gpu_config = get_config(config.gpu)
         self.ssf_threshold = Planner(
             self.gpu_config, config.ssf_threshold
         ).ssf_threshold
-        #: resolved once at startup: an explicitly requested backend that
-        #: is not installed fails here, before the socket ever opens
-        self.backend = resolve_backend_name(config.backend)
         #: one resource-pressure policy shared by every durable plane
         #: (journal, intent log, persist tier, operand registry), so the
         #: health/selfcheck report is a single unified per-plane view
@@ -413,7 +390,6 @@ class SpmmService:
                 )
                 continue
             lane = intent["lane"] if intent["lane"] in LANES else "batch"
-            request.backend = rung_backend(self.backend, rung)
             with self._lock:
                 self._lanes[lane].append(
                     _Pending(
@@ -465,7 +441,6 @@ class SpmmService:
             runtime = SpmmRuntime(
                 self.gpu_config,
                 ssf_threshold=self.config.ssf_threshold,
-                backend=self.backend,
                 cache=self.cache.view(tenant),
             )
             self._runtimes[tenant] = runtime
@@ -889,13 +864,6 @@ class SpmmService:
         rung = self.admission.choose_rung(req.deadline_s, backlog=backlog)
         if rung > 0:
             self.metrics.counter("service.demoted").inc()
-        # Deadline pressure also demotes the compute backend (numba →
-        # numpy); outputs are bit-identical, so the journal fingerprint
-        # (which never hashes the backend) is unaffected.
-        request.backend = rung_backend(self.backend, rung)
-        if request.backend != self.backend:
-            self.metrics.counter("backend.fallback").inc()
-            self.metrics.counter(f"backend.fallback.{self.backend}").inc()
         fingerprint = service_fingerprint(base_fp, rung)
         record = self._completed.get(fingerprint)
         if record is not None:

@@ -91,7 +91,7 @@ class TestConversionUnit:
 
     def test_stepwise_unit_agrees(self, csc):
         fast = ConversionUnit(0, csc)
-        slow = ConversionUnit(0, csc, stepwise=True)
+        slow = ConversionUnit(0, csc, fidelity="stepwise")
         req = TileRequest(strip_id=1, row_start=0)
         fast.submit(req)
         slow.submit(TileRequest(strip_id=1, row_start=0))
@@ -142,7 +142,7 @@ class TestOnlineConversion:
     def test_stepwise_driver_agrees(self):
         csc = CSCMatrix.from_dense(random_dense((80, 70), 0.05, seed=4))
         fast = convert_matrix_online(csc, config=GV100)
-        slow = convert_matrix_online(csc, config=GV100, stepwise=True)
+        slow = convert_matrix_online(csc, config=GV100, fidelity="stepwise")
         np.testing.assert_allclose(fast.tiled.to_dense(), slow.tiled.to_dense())
         assert fast.stats.steps == slow.stats.steps
 

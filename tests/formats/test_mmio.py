@@ -4,9 +4,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import CSRMatrix, read_matrix_market, write_matrix_market
+from repro.formats import (
+    COOMatrix,
+    CSRMatrix,
+    read_matrix_market,
+    write_matrix_market,
+)
 
 from ..conftest import assert_same_matrix, random_dense
 
@@ -106,6 +113,56 @@ class TestRead:
     def test_empty_input(self):
         with pytest.raises(FormatError, match="empty"):
             read_matrix_market("")
+
+
+HEADERS = [
+    f"%%MatrixMarket matrix coordinate {field} {symmetry}\n".encode()
+    for field in ("real", "integer", "pattern")
+    for symmetry in ("general", "symmetric", "skew-symmetric")
+]
+#: entry and size-line tokens, malformed ones included
+TOKENS = st.sampled_from([
+    b"1", b"2", b"3", b"0", b"-1", b"x", b"3.0", b"1e999", b"nan",
+    b"10000000000000", b"9" * 30, b"%", b"\xff", b"\xc3",
+])
+
+
+@st.composite
+def matrix_market_bytes(draw):
+    """Raw bytes: arbitrary, or a valid header over lines of tokens."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=120))
+    lines = draw(st.lists(st.lists(TOKENS, max_size=4).map(b" ".join),
+                          max_size=8))
+    return draw(st.sampled_from(HEADERS)) + b"\n".join(lines) + b"\n"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("body", [
+        b"2 2 1\n1 x 3.0\n",  # non-integer index
+        b"2 2 1\n1 1 y\n",  # non-numeric value
+        b"2 2 -1\n",  # negative declared nnz
+        b"2 2 10000000000000\n1 1 1.0\n",  # absurd nnz, no allocation
+        b"2 2 1\n99999999999999999999 1 1.0\n",  # index past int64
+        b"99999999999999999999 2 1\n9999999999999999999 1 1.0\n",  # shape too
+        b"2 2 1\n\xff\xfe 1 1.0\n",  # not UTF-8
+    ])
+    def test_bad_bytes_give_format_error(self, tmp_path, body):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(HEADERS[0] + body)
+        with pytest.raises(FormatError):
+            read_matrix_market(str(path))
+
+    @settings(max_examples=200)
+    @given(data=matrix_market_bytes())
+    def test_any_bytes_give_matrix_or_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.mtx"
+        path.write_bytes(data)
+        try:
+            coo = read_matrix_market(str(path))
+        except FormatError:
+            return
+        assert isinstance(coo, COOMatrix)
 
 
 class TestWriteRoundtrip:

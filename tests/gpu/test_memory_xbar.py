@@ -10,7 +10,6 @@ from repro.gpu import (
     GV100,
     CrossbarModel,
     MemorySystem,
-    partition_loads_for_schedule,
     strip_partition_naive,
     tile_partition_split,
 )
@@ -93,20 +92,6 @@ class TestPlacementPolicies:
             strip_partition_naive(0, 0)
         with pytest.raises(ConfigError):
             tile_partition_split(0, 0, 0)
-
-    def test_schedule_loads(self):
-        assignments = [(0, 0), (1, 1), (0, 2)]
-        loads = partition_loads_for_schedule(assignments, 10.0, 2)
-        np.testing.assert_allclose(loads, [20.0, 10.0])
-
-    def test_schedule_loads_vector_bytes(self):
-        assignments = [(0, 0), (1, 1)]
-        loads = partition_loads_for_schedule(assignments, [5.0, 7.0], 2)
-        np.testing.assert_allclose(loads, [5.0, 7.0])
-
-    def test_schedule_loads_bad_partition(self):
-        with pytest.raises(SimulationError):
-            partition_loads_for_schedule([(9, 0)], 1.0, 2)
 
 
 class TestCrossbar:

@@ -1,43 +1,25 @@
-"""Backend registry contracts: bit-identical numerics, counter parity,
-cache-key separation, rung demotion, and clean CLI errors.
+"""The shared SpMM arithmetic (``repro.kernels.backends``) and what records
+keep of the backend choice that preceded it.
 
-The contracts under test here are the ones ``docs/BACKENDS.md`` promises:
-every installed backend produces bit-identical float64 outputs on
-canonical operands, the analytical counters are a pure function of the
-plan (so they never vary with the backend), and backend choice is a
-cache-key axis rather than a silent global.
+Every kernel multiplies through :func:`~repro.kernels.common.compute_spmm`,
+scipy's product over the canonical CSR arrays.  Record digests hash its
+output, so it must equal the independent ``scipy_spmm`` cross-check bit
+for bit, and records that still name another backend in their plan
+provenance (written when numpy and numba backends existed) must keep
+their digests.
 """
 
+import json
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
-from repro.errors import BackendUnavailableError, ConfigError
-from repro.formats import COOMatrix, to_format
+from repro.formats import COOMatrix
 from repro.gpu import GV100
-from repro.kernels import (
-    AUTO_ORDER,
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    available_backends,
-    csr_spmm,
-    get_backend,
-    random_dense_operand,
-    resolve_backend,
-    resolve_backend_name,
-)
+from repro.kernels import compute_spmm, random_dense_operand, scipy_spmm
 from repro.matrices import GENERATORS
-from repro.runtime import (
-    FULL_CAPABILITIES,
-    PlanCache,
-    SpmmRequest,
-    SpmmRuntime,
-)
-from repro.service.server import ServiceConfig, SpmmService, rung_backend
-
-NUMBA_INSTALLED = "numba" in available_backends()
+from repro.runtime import RunRecord, SpmmRequest, SpmmRuntime
 
 
 @st.composite
@@ -48,208 +30,35 @@ def small_matrices(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     rows = rng.integers(0, n_rows, size=nnz)
     cols = rng.integers(0, n_cols, size=nnz)
-    # Adversarial magnitudes: mixed signs and scales expose any backend
+    # Adversarial magnitudes: mixed signs and scales expose any path
     # that reassociates the per-row accumulation.
     vals = rng.uniform(-1e3, 1e3, size=nnz)
-    return COOMatrix((n_rows, n_cols), rows, cols, vals).deduplicate()
-
-
-class TestRegistry:
-    def test_numpy_and_scipy_always_available(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "scipy" in names
-
-    def test_default_backend_is_scipy(self):
-        assert DEFAULT_BACKEND == "scipy"
-        assert resolve_backend_name(None) == "scipy"
-
-    def test_unknown_backend_is_config_error(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            resolve_backend("fortran")
-        with pytest.raises(ConfigError, match="numpy, scipy, numba, auto"):
-            resolve_backend("fortran")
-
-    def test_auto_resolves_to_an_available_backend(self):
-        name, skipped = resolve_backend("auto")
-        assert name in available_backends()
-        assert all(s not in available_backends() for s in skipped)
-        # auto prefers the fastest installed backend in AUTO_ORDER.
-        assert name == next(
-            b for b in AUTO_ORDER if b in available_backends()
-        )
-
-    @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
-    def test_unavailable_backend_names_install_hint(self):
-        with pytest.raises(BackendUnavailableError, match="not installed"):
-            resolve_backend("numba")
-        # BackendUnavailableError is a ConfigError: one CLI handling path.
-        with pytest.raises(ConfigError):
-            resolve_backend("numba")
-
-    def test_backend_names_are_registered(self):
-        # Only installed backends can be fetched; the rest raise above.
-        for name in available_backends():
-            assert get_backend(name).name == name
-        assert set(available_backends()) <= set(BACKEND_NAMES)
+    return COOMatrix((n_rows, n_cols), rows, cols, vals)
 
 
 class TestNumericParity:
     @given(small_matrices(), st.integers(min_value=1, max_value=64))
     @settings(max_examples=40, deadline=None)
     def test_backends_bit_identical(self, coo, k):
-        """Every installed backend reproduces scipy's float64 output
-        bit for bit — the contract RunRecord digests rely on."""
+        """The kernels' product is scipy's float64 output bit for bit,
+        duplicate coordinates included — the contract digests rely on."""
         dense = random_dense_operand(coo.n_cols, k, seed=1)
-        reference = get_backend("scipy").execute(coo, dense)
-        assert reference.dtype == np.float64
-        for name in available_backends():
-            out = get_backend(name).execute(coo, dense)
-            assert out.dtype == np.float64, name
-            assert np.array_equal(out, reference), name
-
-    @given(small_matrices(), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=25, deadline=None)
-    def test_counters_invariant_across_backends(self, coo, k):
-        """Traffic, op mix, flops, and row activity are accounting — a
-        pure function of the plan, identical whatever computes."""
-        csr = to_format(coo, "csr")
-        dense = random_dense_operand(coo.n_cols, k, seed=2)
-        results = {
-            name: csr_spmm(csr, dense, GV100, backend=name)
-            for name in available_backends()
-        }
-        ref = results["scipy"]
-        for name, r in results.items():
-            assert r.traffic == ref.traffic, name
-            assert r.mix == ref.mix, name
-            assert r.flops == ref.flops, name
-            assert np.array_equal(
-                np.asarray(r.output), np.asarray(ref.output)
-            ), name
+        out = compute_spmm(coo, dense)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, scipy_spmm(coo, dense))
 
 
 class TestRuntimeParity:
-    def _record(self, backend, matrix):
-        runtime = SpmmRuntime(GV100, backend=backend)
-        return runtime.run(SpmmRequest(matrix, k=16, seed=0)).record
-
     def test_run_records_digest_identically(self):
-        """The full runtime path — plan, execute, record — produces the
-        same digest on every installed backend (backend provenance is
-        excluded from the digest by construction)."""
+        """The planner names scipy in provenance, and a record naming
+        numpy or numba there (as journals written before scipy became the
+        only arithmetic do) digests the same."""
         m = GENERATORS["uniform"](64, 64, 0.05, seed=9)
-        records = {
-            name: self._record(name, m) for name in available_backends()
-        }
-        digests = {r.digest() for r in records.values()}
-        assert len(digests) == 1
-        # ... while the records still disclose which backend ran:
-        for name, r in records.items():
-            assert r.plan["provenance"]["backend"] == name
-
-    def test_requested_backend_lands_in_provenance(self):
-        m = GENERATORS["uniform"](32, 32, 0.1, seed=3)
-        runtime = SpmmRuntime(GV100)
-        out = runtime.run(SpmmRequest(m, k=8, seed=0, backend="numpy"))
-        assert out.plan.provenance["backend"] == "numpy"
-
-    def test_invalid_request_backend_rejected_at_construction(self):
-        m = GENERATORS["uniform"](8, 8, 0.2, seed=1)
-        with pytest.raises(ConfigError, match="unknown backend"):
-            SpmmRequest(m, k=4, seed=0, backend="fortran")
-
-
-class TestCacheKeys:
-    def test_backend_is_a_cache_key_axis(self):
-        m = GENERATORS["uniform"](32, 32, 0.1, seed=5)
-        request = SpmmRequest(m, k=8, seed=0)
-        keys = {
-            PlanCache.key_for(request, GV100, FULL_CAPABILITIES, 2.0e4, b)
-            for b in ("numpy", "scipy")
-        }
-        assert len(keys) == 2
-
-    def test_omitted_backend_resolves_from_request(self):
-        m = GENERATORS["uniform"](32, 32, 0.1, seed=5)
-        explicit = SpmmRequest(m, k=8, seed=0, backend="numpy")
-        assert PlanCache.key_for(
-            explicit, GV100, FULL_CAPABILITIES, 2.0e4
-        ) == PlanCache.key_for(
-            explicit, GV100, FULL_CAPABILITIES, 2.0e4, "numpy"
-        )
-
-    def test_same_request_different_backend_misses(self):
-        """One shared cache, two backends: the second run must not replay
-        the first backend's entry."""
-        m = GENERATORS["uniform"](32, 32, 0.1, seed=5)
-        cache = PlanCache()
-        first = SpmmRuntime(GV100, backend="scipy", cache=cache)
-        second = SpmmRuntime(GV100, backend="numpy", cache=cache)
-        assert first.run(SpmmRequest(m, k=8, seed=0)).cache_hit is False
-        assert second.run(SpmmRequest(m, k=8, seed=0)).cache_hit is False
-        assert second.run(SpmmRequest(m, k=8, seed=0)).cache_hit is True
-
-
-class TestServiceDemotion:
-    def test_rung_zero_keeps_backend(self):
-        for name in BACKEND_NAMES:
-            assert rung_backend(name, 0) == name
-
-    def test_degraded_rungs_demote_numba_only(self):
-        for rung in (1, 2, 3):
-            assert rung_backend("numba", rung) == "numpy"
-            assert rung_backend("scipy", rung) == "scipy"
-            assert rung_backend("numpy", rung) == "numpy"
-
-    def test_service_rejects_unknown_backend_before_startup(self, tmp_path):
-        config = ServiceConfig(
-            socket_path=str(tmp_path / "svc.sock"),
-            state_dir=str(tmp_path / "state"),
-            backend="fortran",
-        )
-        with pytest.raises(ConfigError, match="unknown backend"):
-            SpmmService(config)
-
-
-class TestCliErrors:
-    def test_run_unknown_backend_exits_cleanly(self, capsys):
-        rc = main(
-            ["run", "--generate", "uniform:32:32:0.1:1",
-             "--backend", "fortran"]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown backend" in err
-        assert "Traceback" not in err
-
-    def test_bench_unknown_backend_exits_cleanly(self, tmp_path, capsys):
-        rc = main(
-            ["bench", "--quick", "--only", "calibration.matmul",
-             "--backend", "fortran", "--out", str(tmp_path / "b.json")]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown backend" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
-    def test_uninstalled_numba_exits_cleanly(self, capsys):
-        rc = main(
-            ["run", "--generate", "uniform:32:32:0.1:1",
-             "--backend", "numba"]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "not installed" in err
-        assert "Traceback" not in err
-
-    def test_run_auto_backend_succeeds(self, capsys):
-        rc = main(
-            ["run", "--generate", "uniform:32:32:0.1:1",
-             "--backend", "auto", "--repeat", "1"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        expected = resolve_backend("auto")[0]
-        assert f"backend={expected}" in out
+        record = SpmmRuntime(GV100).run(SpmmRequest(m, k=16, seed=0)).record
+        assert record.plan["provenance"]["backend"] == "scipy"
+        doc = json.loads(record.to_json())
+        for name in ("numpy", "numba"):
+            doc["plan"]["provenance"]["backend"] = name
+            other = RunRecord.from_json(json.dumps(doc))
+            assert other.plan["provenance"]["backend"] == name
+            assert other.digest() == record.digest()

@@ -13,7 +13,6 @@ from repro.kernels import (
     run_c_stationary_best,
     run_offline_tiled,
     run_online_tiled,
-    tile_visit_order,
     traversal_effects,
     verify_against_reference,
 )
@@ -136,21 +135,3 @@ class TestTraversalHelpers:
     def test_effects_unknown(self):
         with pytest.raises(ConfigError):
             traversal_effects("spiral")
-
-    def test_visit_order_column_major(self):
-        order = list(tile_visit_order(2, 2, "column_major"))
-        assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-    def test_visit_order_row_major(self):
-        order = list(tile_visit_order(2, 2, "row_major"))
-        assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_visit_order_complete(self):
-        pairs = set(tile_visit_order(3, 4, "column_major"))
-        assert len(pairs) == 12
-
-    def test_visit_order_bad(self):
-        with pytest.raises(ConfigError):
-            list(tile_visit_order(2, 2, "zigzag"))
-        with pytest.raises(ConfigError):
-            list(tile_visit_order(-1, 2, "row_major"))

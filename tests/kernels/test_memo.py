@@ -61,9 +61,9 @@ def test_hit_computes_once_and_never_reads_triplets(branch, config, monkeypatch)
     computes, reads = [], []
     real_compute = common.compute_spmm
 
-    def counting_compute(matrix, dense, *, backend=None):
+    def counting_compute(matrix, dense):
         computes.append(type(matrix).__name__)
-        return real_compute(matrix, dense, backend=backend)
+        return real_compute(matrix, dense)
 
     monkeypatch.setattr(common, "compute_spmm", counting_compute)
     for cls in _container_classes():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.kernels.merge import (
     critical_path_items,
-    merge_balanced_activity,
     merge_path_partition,
 )
 
@@ -92,23 +91,3 @@ class TestCriticalPath:
     def test_bad_workers(self):
         with pytest.raises(ConfigError):
             critical_path_items([1], 0, merge=True)
-
-
-class TestBalancedActivity:
-    def test_fixup_cost_counted(self):
-        lens = [4, 4, 4, 4]
-        mix, critical = merge_balanced_activity(lens, 64, n_workers=2)
-        base, _ = merge_balanced_activity(lens, 64, n_workers=1)
-        assert mix.integer == base.integer + 2 * 32  # one extra worker
-
-    def test_critical_shrinks_with_workers(self):
-        lens = [100] * 8
-        _, c1 = merge_balanced_activity(lens, 64, n_workers=1)
-        _, c8 = merge_balanced_activity(lens, 64, n_workers=8)
-        assert c8 < c1
-
-    def test_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            merge_balanced_activity([1], 0, n_workers=1)
-        with pytest.raises(ConfigError):
-            merge_balanced_activity([1], 64, n_workers=0)

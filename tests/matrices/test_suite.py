@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.matrices import MatrixSpec, corpus, mini_corpus
+from repro.matrices import MatrixSpec, corpus
 
 
 class TestCorpus:
@@ -67,15 +67,3 @@ class TestCorpus:
         spec = MatrixSpec("x", "nope", 10, 10, 0.1)
         with pytest.raises(FormatError, match="unknown generator"):
             spec.build()
-
-
-class TestMiniCorpus:
-    def test_small_and_square(self):
-        specs = mini_corpus()
-        assert 8 <= len(specs) <= 24
-        assert all(s.n_rows == s.n_cols for s in specs)
-
-    def test_all_buildable(self):
-        for spec in mini_corpus():
-            m = spec.build()
-            assert m.nnz > 0, spec.name

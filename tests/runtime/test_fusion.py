@@ -3,9 +3,8 @@
 Three layers of evidence, bottom up:
 
 * **kernel property** (hypothesis): column-concatenated SpMM equals
-  per-operand SpMM byte-for-byte across every installed backend and
-  every k-split point — the column-independence fact the whole plane
-  rests on;
+  per-operand SpMM byte-for-byte at every k-split point — the
+  column-independence fact the whole plane rests on;
 * **worker contract**: :func:`execute_fused_handle` returns member
   records whose digests equal both solo :func:`execute_handle` payloads
   and bare serial runs, with honest pro-rata ``extras["coalesce"]``;
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.gpu import GV100
-from repro.kernels import available_backends
 from repro.kernels.common import compute_spmm, fused_results, prepare_spmm
 from repro.kernels.reference import check_operands
 from repro.matrices import uniform_random
@@ -40,21 +38,17 @@ from repro.runtime.parallel import execute_handle
 from repro.runtime.record import RunRecord
 from repro.runtime.supervisor import ChaosFault, SupervisionPolicy
 
-BACKENDS = available_backends()
-
 
 # ------------------------------------------------------- kernel property
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     widths=st.lists(st.integers(1, 7), min_size=2, max_size=4),
-    data=st.data(),
 )
-def test_concat_spmm_bit_identity(seed, widths, data):
+def test_concat_spmm_bit_identity(seed, widths):
     """C[:, lo:hi] of the wide product equals the standalone product,
-    for every installed backend and every split layout hypothesis picks.
+    for every split layout hypothesis picks.
     """
-    backend = data.draw(st.sampled_from(sorted(BACKENDS)))
     rng = np.random.default_rng(seed)
     m = uniform_random(37, 29, 0.12, seed=seed)
     blocks = [
@@ -66,10 +60,10 @@ def test_concat_spmm_bit_identity(seed, widths, data):
     wide = np.concatenate(
         [check_operands(m, b) for b in blocks], axis=1
     )
-    c_wide = compute_spmm(m, wide, backend=backend)
+    c_wide = compute_spmm(m, wide)
     lo = 0
     for b in blocks:
-        solo = compute_spmm(m, check_operands(m, b), backend=backend)
+        solo = compute_spmm(m, check_operands(m, b))
         hi = lo + b.shape[1]
         assert c_wide[:, lo:hi].tobytes() == solo.tobytes()
         lo = hi
@@ -117,23 +111,19 @@ def _handles(runtime, requests):
                 seed=r.seed,
                 tile_width=r.tile_width,
                 ssf_threshold=r.ssf_threshold,
-                backend=plan.provenance.get("backend"),
             )
         )
     return out
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_fused_handle_matches_solo_and_serial(backend):
-    """The tentpole acceptance property, per backend: fused member
-    records are digest-identical to solo worker payloads and to bare
-    serial runs, and identical operands dedup into one column range.
+def test_fused_handle_matches_solo_and_serial():
+    """The worker contract: fused member records are digest-identical
+    to solo worker payloads and to bare serial runs, and identical
+    operands dedup into one column range.
     """
     m = uniform_random(90, 70, 0.08, seed=5)
-    runtime = SpmmRuntime(GV100, backend=backend)
-    requests = [
-        SpmmRequest(m, k=6, seed=s, backend=backend) for s in (1, 2, 2, 3)
-    ]
+    runtime = SpmmRuntime(GV100)
+    requests = [SpmmRequest(m, k=6, seed=s) for s in (1, 2, 2, 3)]
     serial = [runtime.run(r).record.digest() for r in requests]
     handles = _handles(runtime, requests)
     solo = [

@@ -9,10 +9,11 @@ an earlier commit, so such a change fails here.
 Coverage: small seeded matrices from both planner branches (CSR and
 DCSR C-stationary winners, online tiled DCSR) plus a COO input with
 duplicate coordinates; k in {16, 64}; the service's three ladder rungs;
-every installed backend; a cold run followed by a plan-cache hit on the
-same runtime; and, at rung 0, both batch transports (serial and the
-supervised pool, with and without fused windows) plus a resume that
-replays the whole batch from its journal.
+a cold run followed by a plan-cache hit on the same runtime; a warm
+start, where a fresh runtime replays every case from the persistent
+store an earlier runtime filled; and, at rung 0, both batch transports
+(serial and the supervised pool, with and without fused windows) plus a
+resume that replays the whole batch from its journal.
 
 Regenerate only when a change to records is intended, and say why in
 CHANGES.md::
@@ -31,10 +32,10 @@ import pytest
 
 from repro.formats import COOMatrix
 from repro.gpu import get_config
-from repro.kernels.backends import available_backends
 from repro.matrices import from_spec
-from repro.runtime import ParallelExecutor, SpmmRequest, SpmmRuntime
+from repro.runtime import ParallelExecutor, PlanCache, SpmmRequest, SpmmRuntime
 from repro.service import LADDER
+from repro.store import PersistentFormatStore
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -88,9 +89,9 @@ def run_case(runtime, matrix, k: int, rung: int) -> tuple[str, bool]:
     return outcome.record.digest(), outcome.cache_hit
 
 
-def compute_digests(backend: str) -> dict:
-    """``"name|k|rung" -> [cold digest, hit digest]`` on ``backend``."""
-    runtime = SpmmRuntime(get_config(GPU), backend=backend)
+def compute_digests(runtime=None) -> dict:
+    """``"name|k|rung" -> [cold digest, hit digest]`` on one runtime."""
+    runtime = runtime if runtime is not None else SpmmRuntime(get_config(GPU))
     out = {}
     for name, matrix in build_matrices().items():
         for k in KS:
@@ -107,14 +108,38 @@ def load_fixture() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_digests_match_fixture(backend):
+def assert_pairs_match_fixture(got: dict) -> None:
     expected = load_fixture()["digests"]
-    got = compute_digests(backend)
     assert set(got) == set(expected)
     wrong = {case: (pair, expected[case]) for case, pair in got.items()
              if pair != [expected[case], expected[case]]}
     assert not wrong
+
+
+def test_digests_match_fixture():
+    assert_pairs_match_fixture(compute_digests())
+
+
+def test_warm_start_digests_match_fixture(tmp_path):
+    """A second lifetime over the same persistent store: fresh runtime,
+    fresh matrix objects, every lookup a disk hit, every digest pinned."""
+    def runtime():
+        store = PersistentFormatStore(str(tmp_path / "store"))
+        return SpmmRuntime(get_config(GPU), cache=PlanCache(persist=store))
+
+    assert_pairs_match_fixture(compute_digests(runtime()))
+    warm = runtime()
+    got = {}
+    for name, matrix in build_matrices().items():
+        for k in KS:
+            for rung in range(len(LADDER)):
+                digest, hit = run_case(warm, matrix, k, rung)
+                assert hit, (name, k, rung)
+                got[f"{name}|{k}|{rung}"] = [digest, digest]
+    stats = warm.cache.stats
+    assert stats["misses"] == 0
+    assert stats["disk_hits"] == stats["hits"] == len(got)
+    assert_pairs_match_fixture(got)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -162,7 +187,7 @@ def test_fixture_covers_both_planner_branches():
 
 
 def _write() -> None:
-    digests = compute_digests("scipy")
+    digests = compute_digests()
     doc = {
         "about": "record digests per 'matrix|k|rung'; "
                  "see tests/runtime/test_golden_digests.py",

@@ -221,7 +221,7 @@ class TestWorkerMemory:
             index=index, plan=plan.to_dict(), matrix=request.matrix,
             fingerprint=matrix_fingerprint(request.matrix), k=request.k,
             seed=request.seed, tile_width=request.tile_width,
-            ssf_threshold=None, backend=plan.provenance.get("backend"),
+            ssf_threshold=None,
         )
 
     def test_seeded_operands_are_not_kept(self):

@@ -1,6 +1,7 @@
 """Protocol validation and the durable accepted-intent log."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.service.protocol import (
     ProtocolError,
+    SubmitRequest,
     decode_message,
     encode_message,
     parse_request,
@@ -103,6 +105,61 @@ def test_parse_submit_accepts_explicit_fields():
     assert req.id == "r9" and req.lane == "batch"
     assert req.deadline_s == pytest.approx(2.0)
     assert isinstance(req.deadline_s, float)
+
+
+# ------------------------------------------------------------------ fuzzing
+#: JSON fragments that get past the first parse error more often than
+#: uniform bytes do
+_FRAGMENTS = st.sampled_from([
+    b"{", b"}", b"[", b"]", b",", b":", b'"op"', b'"submit"', b'"matrix"',
+    b'"a.mtx"', b'"k"', b'"deadline_s"', b"NaN", b"-Infinity", b"1e999",
+    b"9" * 400, b"0", b"-1", b"2.5", b"true", b"null", b'"\\ud800"', b"\xff",
+])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.integers(10**399, 10**401),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_SUBMITS = st.fixed_dictionaries(
+    {"op": st.just("submit"), "matrix": st.just("uniform:8:8:0.5")},
+    optional={
+        name: _JSON
+        for name in ("id", "tenant", "k", "seed", "tile_width", "lane",
+                     "deadline_s")
+    },
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@settings(max_examples=200)
+@given(line=st.one_of(
+    st.binary(max_size=200),
+    st.lists(_FRAGMENTS, max_size=40).map(b"".join),
+    _SUBMITS,
+))
+@example(line=b"[" * 100_000)
+@example(line=b"9" * 4301)
+@example(line=b'{"matrix": "x", "deadline_s": ' + b"9" * 400 + b"}")
+@example(line=b'{"matrix": "x", "deadline_s": NaN}')
+@example(line=b'{"matrix": "x", "deadline_s": Infinity}')
+def test_any_line_parses_or_gets_a_protocol_error(line):
+    """Any bytes decode to a dict or raise ProtocolError, and any decoded
+    object parses to a SubmitRequest or raises ProtocolError — so junk
+    gets a 400, never the 500 reserved for quarantined work."""
+    try:
+        doc = decode_message(line)
+    except ProtocolError:
+        return
+    assert isinstance(doc, dict)
+    try:
+        req = parse_submit(doc)
+    except ProtocolError:
+        return
+    assert isinstance(req, SubmitRequest)
+    assert req.deadline_s is None or (
+        math.isfinite(req.deadline_s) and req.deadline_s > 0
+    )
 
 
 def test_service_fingerprint_separates_rungs():

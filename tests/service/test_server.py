@@ -92,12 +92,20 @@ def test_health_reports_shape(service_factory):
 
 
 # -------------------------------------------------------------- bad input
-def test_unresolvable_spec_is_400(service_factory):
+def test_unresolvable_spec_is_400(service_factory, tmp_path):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 3.0\n"
+    )
     handle = service_factory()
     with ServiceClient(handle.socket_path) as client:
         resp = client.submit("nope:8:8:0.5")
         assert resp["status"] == 400
         assert "unknown family" in resp["error"]
+        # a malformed .mtx is the client's error too, not a quarantine
+        resp = client.submit(str(bad))
+        assert resp["status"] == 400
+        assert "bad real entry" in resp["error"]
         # The service is still alive and serving.
         assert client.health()["state"] == "ok"
 
@@ -106,10 +114,15 @@ def test_raw_invalid_json_is_400(service_factory):
     handle = service_factory()
     with ServiceClient(handle.socket_path) as client:
         client.health()  # socket is definitely up
-    frame = raw_request(handle.socket_path, b"{this is not json\n")
-    resp = json.loads(frame)
-    assert resp["status"] == 400
-    assert resp["id"] == ""
+    for line in (
+        b"{this is not json\n",
+        b"[" * 60_000 + b"\n",  # nested too deep for the JSON decoder
+        b'{"op": "submit", "matrix": "%s", "deadline_s": NaN}\n' % (
+            SPECS[0].encode()),
+    ):
+        resp = json.loads(raw_request(handle.socket_path, line))
+        assert resp["status"] == 400
+        assert resp["id"] == ""
 
 
 def test_oversize_request_line_is_400(service_factory):

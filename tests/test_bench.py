@@ -108,18 +108,6 @@ class TestCompare:
         assert regressed == []
         assert any("partial run; skipped" in line for line in lines)
 
-    def test_backend_mismatch_skips_comparison(self, quick_payload):
-        """Different meta.backend → apples-to-oranges → skipped, not
-        regressed (backends are compared against same-backend baselines)."""
-        current = json.loads(bench.payload_json(quick_payload))
-        entry = current["benchmarks"]["kernels.csr_spmm"]
-        entry["meta"]["backend"] = "numpy"
-        entry["ops_per_s"] = 1e-9
-        lines, regressed = bench.compare_payloads(current, quick_payload)
-        assert "kernels.csr_spmm" not in regressed
-        assert any("skipped" in line and "kernels.csr_spmm" in line
-                   for line in lines)
-
     def test_schema_mismatch_skips_comparison(self, quick_payload):
         stale = json.loads(bench.payload_json(quick_payload))
         stale["schema_version"] = 0
