@@ -2,9 +2,11 @@
 
 The expensive piece — simulating every algorithm variant over the whole
 synthetic corpus — runs once per session (``corpus_sweep``) and feeds the
-Fig. 2 / Fig. 4 / Fig. 16 benches.  Scale is controlled by
-``REPRO_BENCH_SCALE`` (default 1.0 → 1k-2k-row matrices; the paper uses
-4k-44k, reachable by raising the scale at proportional cost).
+Fig. 4 / Fig. 16 benches and the SSF-sampling ablation.  It keeps only
+what they read (names, SSF and per-variant times), not the variants'
+dense outputs.  Scale is controlled by ``REPRO_BENCH_SCALE`` (default
+2.0 → 2k-4k-row matrices; the paper uses 4k-44k, reachable by raising
+the scale at proportional cost).
 
 Every bench prints the table/figure series it regenerates, so
 ``pytest benchmarks/ --benchmark-only -s`` reproduces the paper's
@@ -39,21 +41,17 @@ BENCH_GPU = scaled_config(
 
 @dataclass
 class SweepRecord:
-    """One matrix's full evaluation: every variant timed + profiled."""
+    """One matrix's evaluation: every variant's simulated time.
+
+    The variants' ``KernelResult``s (each with a float64 dense output)
+    and ``TimingResult``s are dropped as each matrix finishes: over the
+    corpus they would hold gigabytes no bench reads.
+    """
 
     name: str
-    family: str
-    n_rows: int
-    n_cols: int
-    nnz: int
-    density: float
     ssf: float
     #: variant name -> simulated seconds
     times: dict
-    #: variant name -> KernelResult
-    results: dict
-    #: variant name -> TimingResult
-    timings: dict
 
     @property
     def t_ratio_c_over_b(self) -> float:
@@ -77,15 +75,8 @@ def run_sweep(scale: float = BENCH_SCALE) -> list[SweepRecord]:
         records.append(
             SweepRecord(
                 name=spec.name,
-                family=spec.family,
-                n_rows=m.n_rows,
-                n_cols=m.n_cols,
-                nnz=m.nnz,
-                density=m.density,
                 ssf=ssf(m),
                 times={k_: v.time_s for k_, v in variants.items()},
-                results={k_: v.result for k_, v in variants.items()},
-                timings={k_: v.timing for k_, v in variants.items()},
             )
         )
     return records

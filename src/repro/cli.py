@@ -420,7 +420,6 @@ def cmd_serve(args) -> int:
         tenant_cache_entries=args.tenant_cache_entries,
         store_dir=args.store_dir,
         coalesce=args.coalesce,
-        coalesce_window_ms=args.coalesce_window_ms,
         coalesce_max_k=args.coalesce_max_k,
     )
     service = SpmmService(config)
@@ -838,14 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-coalesce", dest="coalesce", action="store_false",
         help="dispatch every request unfused instead of coalescing "
-        "concurrent same-matrix rung-0 requests into wide-k fused "
-        "windows (docs/SERVICE.md)",
-    )
-    p.add_argument(
-        "--coalesce-window-ms", type=float, default=5.0, metavar="MS",
-        help="how long the first member of a window waits for company "
-        "— the worst-case latency coalescing can add (0 disables; "
-        "default 5)",
+        "same-matrix rung-0 requests that queue while every worker is "
+        "busy into wide-k fused windows (docs/SERVICE.md)",
     )
     p.add_argument(
         "--coalesce-max-k", type=int, default=1024, metavar="K",

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,14 +373,14 @@ def plan_fusion_groups(
     # Imported here: the service package imports this one.
     from ..service.coalesce import CoalescingScheduler
 
-    scheduler = CoalescingScheduler(window_s=math.inf, max_k=max_k)
+    scheduler = CoalescingScheduler(max_k=max_k)
     windows: list = []
     for i in indices:
         windows += scheduler.add(
             fusion_group_key(runtime, requests[i]), i,
             requests[i].dense_cols, 0.0,
         )
-    windows += scheduler.pop_ready(0.0, flush_all=True)
+    windows += scheduler.pop_ready(flush_all=True)
     groups = sorted((m for _, m in windows if len(m) > 1), key=lambda m: m[0])
     singles = sorted(m[0] for _, m in windows if len(m) == 1)
     return groups, singles

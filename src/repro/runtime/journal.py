@@ -67,17 +67,18 @@ ANOMALY_KINDS = (
 )
 
 
-def _entry_line(fingerprint: str, record: RunRecord) -> str:
+def _entry_line(fingerprint: str, record: RunRecord, digest=None) -> str:
     """One complete schema-v1 journal line (no trailing newline).
 
     Compact single-line JSON — the journal is JSONL, so the pretty-printed
     :func:`~repro.util.canonical_json` form cannot be used here.
+    ``digest`` is ``record.digest()``, computed here unless given.
     """
     doc = {
         "version": JOURNAL_VERSION,
         "kind": "record",
         "fingerprint": fingerprint,
-        "digest": record.digest(),
+        "digest": record.digest() if digest is None else digest,
         "record": record.to_dict(),
     }
     return json.dumps(to_plain(doc), sort_keys=True, separators=(",", ":"))
@@ -263,14 +264,18 @@ class RunJournal(DurableLog):
         super().__init__(path, "journal", pressure=pressure)
 
     # -------------------------------------------------------------- writes
-    def append(self, fingerprint: str, record: RunRecord) -> bool:
+    def append(self, fingerprint: str, record: RunRecord, *,
+               digest: str | None = None) -> bool:
         """Append one completed item durably; returns False when it didn't.
 
         False means a dedupe or a loss to a degraded journal (see
-        :class:`DurableLog`); the batch keeps completing either way.
+        :class:`DurableLog`); the batch keeps completing either way.  A
+        caller that already holds ``record.digest()`` passes it as
+        ``digest``, so the line does not render it a second time.
         """
         return self.append_line(
-            fingerprint, functools.partial(_entry_line, fingerprint, record)
+            fingerprint,
+            functools.partial(_entry_line, fingerprint, record, digest),
         )
 
     def seed_replayed(self, replay: JournalReplay) -> None:

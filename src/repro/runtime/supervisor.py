@@ -67,10 +67,10 @@ CHAOS_CORRUPT = "corrupt"
 #: per-request deadline is what ends it.
 _CHAOS_HANG_S = 3600.0
 
-#: Supervisor event-loop poll quantum (seconds).  Worker results,
-#: :meth:`WorkerSupervisor.wake` and the stream's ``next_deadline`` wake
-#: the loop on time; this only bounds how late a request-deadline or
-#: heartbeat check or a backoff expiry can fire.
+#: Supervisor event-loop poll quantum (seconds).  Worker results and
+#: :meth:`WorkerSupervisor.wake` wake the loop on time; this only bounds
+#: how late a request-deadline or heartbeat check or a backoff expiry can
+#: fire.
 _TICK_S = 0.02
 
 #: Grace given to workers to exit on the shutdown sentinel before SIGKILL.
@@ -429,7 +429,7 @@ class WorkerSupervisor:
 
     # ----------------------------------------------------------- the loop
     def run(self, items, *, tracer=NULL_TRACER, on_payload=None,
-            on_failure=None, next_deadline=None):
+            on_failure=None):
         """Execute every ``(index, item)``; returns ``(payloads, failures)``.
 
         ``payloads`` maps index → the task function's return value;
@@ -445,12 +445,10 @@ class WorkerSupervisor:
         item of a request that failed before dispatch (its planning
         raised): that one is quarantined at once, never retried.
 
-        A streaming caller calls :meth:`wake` when it has work again, and
-        may pass ``next_deadline()``: the monotonic time at which the
-        stream will have an item without being woken (e.g. a coalescing
-        window closing), or None.  While the admission window has room,
-        the loop's wait ends by then; when it is full the deadline cannot
-        be acted on, so it never shortens the wait (no busy spin).
+        A streaming caller calls :meth:`wake` when it has work again.
+        The stream is pulled only while the admission window has room,
+        so a streaming caller can hold work back until a worker can
+        take it.
         """
         policy = self.policy
         ctx = multiprocessing.get_context(policy.resolve_start_method())
@@ -624,21 +622,8 @@ class WorkerSupervisor:
                         pending.appendleft((index, attempt, item, now))
                         continue
                     stats["dispatched"] += 1
-                # 3. drain worker messages, waiting at most one tick — and
-                # no later than the stream's next deadline while there is
-                # room to admit what it will yield.
-                timeout = _TICK_S
-                if (
-                    next_deadline is not None
-                    and not exhausted
-                    and seen - len(resolved) < window
-                ):
-                    due = next_deadline()
-                    if due is not None:
-                        timeout = min(
-                            timeout, max(0.0, due - time.monotonic())
-                        )
-                for msg in self._drain(workers, timeout, wake_r):
+                # 3. drain worker messages, waiting at most one tick.
+                for msg in self._drain(workers, _TICK_S, wake_r):
                     tag, wid, index, attempt, body = msg
                     worker = workers.get(wid)
                     if tag == _MSG_HEARTBEAT:

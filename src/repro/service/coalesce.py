@@ -1,23 +1,17 @@
-"""Bounded time/size coalescing window for the resident SpMM service.
+"""Size-bounded coalescing windows for the resident SpMM service.
 
-The dispatcher holds admitted requests that share a fusion key —
-``(matrix_fingerprint, format config, rung)`` — for at most
-``window_s`` seconds (or until the window's summed dense width would
-exceed ``max_k``), then emits the group as one fused wide-k execution
-(see :mod:`repro.runtime.fusion`).  The paper's amortization applies
-directly: N coalesced requests pay the sparse-matrix stream once instead
-of N times.
+The dispatcher files admitted requests that share a fusion key —
+``(matrix_fingerprint, format config, rung)`` — into one window per key
+and emits each window as one fused wide-k execution (see
+:mod:`repro.runtime.fusion`): N coalesced requests pay the sparse-matrix
+stream once instead of N times.
 
-Fairness and SLO safety are structural, not tuned:
-
-* a window's deadline is set by its *first* member — later arrivals
-  never extend the wait, so worst-case added latency is exactly
-  ``window_s``;
-* only rung-0 requests enter a window; degraded rungs and
-  deadline-demoted requests bypass coalescing entirely (the server
-  dispatches them solo immediately), so coalescing never costs an SLO;
-* a window that still has one member at its deadline dispatches solo —
-  fusion is only ever applied to 2+ members.
+There is no timer.  The service pulls a unit only when a worker has
+room for it and each pull closes the oldest window (:meth:`pop_ready`),
+so a window fills only while every worker is busy, when fusion pays.
+A window also closes once its summed dense width reaches ``max_k``;
+windows leave oldest first (by when their first member was filed); only
+rung-0 requests enter one; and a window of one dispatches solo.
 
 The scheduler is a passive data structure: the server's dispatcher loop
 calls :meth:`add` / :meth:`pop_ready` under its own lock and clock, and
@@ -31,34 +25,31 @@ from ..errors import ConfigError
 
 
 class _Window:
-    """One open coalescing window: members + size/time bounds."""
+    """One open coalescing window: members, summed width, opening time."""
 
-    __slots__ = ("key", "members", "total_k", "deadline")
+    __slots__ = ("key", "members", "total_k", "opened_at")
 
-    def __init__(self, key, deadline: float):
+    def __init__(self, key, opened_at: float):
         self.key = key
         self.members: list = []
         self.total_k = 0
-        self.deadline = float(deadline)
+        self.opened_at = float(opened_at)
 
 
 class CoalescingScheduler:
-    """Group fusable dispatches into bounded wide-k windows.
+    """Group fusable dispatches into size-bounded wide-k windows.
 
     ``add`` files a member under its fusion key and returns any window
     that *closed* as a result (the size bound tripped); ``pop_ready``
-    returns every window whose time bound has expired.  Members come
-    back as ``(key, [member, ...])`` in arrival order; the caller
-    decides what a "member" is (the server uses its ``_Pending``
-    entries) — the scheduler only needs each member's dense width.
+    closes the oldest open window.  Members come back as
+    ``(key, [member, ...])`` in arrival order; the caller decides what a
+    "member" is (the server uses its ``_Pending`` entries) — the
+    scheduler only needs each member's dense width.
     """
 
-    def __init__(self, *, window_s: float, max_k: int):
-        if window_s <= 0:
-            raise ConfigError(f"window_s must be > 0, got {window_s}")
+    def __init__(self, *, max_k: int):
         if max_k < 1:
             raise ConfigError(f"max_k must be >= 1, got {max_k}")
-        self.window_s = float(window_s)
         self.max_k = int(max_k)
         self._open: dict = {}  # key -> _Window
 
@@ -68,7 +59,7 @@ class CoalescingScheduler:
         return sum(len(w.members) for w in self._open.values())
 
     def add(self, key, member, k: int, now: float) -> list:
-        """File ``member`` (dense width ``k``) under ``key``.
+        """File ``member`` (dense width ``k``) under ``key`` at time ``now``.
 
         Returns the windows this arrival *closed* (0, 1, or 2 of them):
         a member that would overflow an open window's ``max_k`` closes
@@ -81,7 +72,7 @@ class CoalescingScheduler:
             closed.append(self._close(key))
             window = None
         if window is None:
-            window = _Window(key, now + self.window_s)
+            window = _Window(key, now)
             self._open[key] = window
         window.members.append(member)
         window.total_k += int(k)
@@ -89,24 +80,23 @@ class CoalescingScheduler:
             closed.append(self._close(key))
         return closed
 
-    def pop_ready(self, now: float, *, flush_all: bool = False) -> list:
-        """Close and return every window past its deadline.
+    def oldest(self) -> list | None:
+        """The members of the oldest open window (left open), or None."""
+        order = self._by_age()
+        return order[0].members if order else None
 
-        ``flush_all`` closes everything regardless of deadline (used on
-        drain).  Windows come back oldest-deadline first.
+    def pop_ready(self, *, flush_all: bool = False) -> list:
+        """Close and return the oldest open window (none when idle).
+
+        ``flush_all`` closes every open window instead (used on drain
+        and at the end of a static batch), oldest first.
         """
-        due = [
-            w.key
-            for w in sorted(self._open.values(), key=lambda w: w.deadline)
-            if flush_all or w.deadline <= now
-        ]
-        return [self._close(key) for key in due]
+        order = self._by_age()
+        return [self._close(w.key) for w in order[:None if flush_all else 1]]
 
-    def next_deadline(self) -> float | None:
-        """The earliest open-window deadline, or ``None`` when idle."""
-        if not self._open:
-            return None
-        return min(w.deadline for w in self._open.values())
+    def _by_age(self) -> list:
+        """Open windows, oldest first: by opening time, then opening order."""
+        return sorted(self._open.values(), key=lambda w: w.opened_at)
 
     def _close(self, key) -> tuple:
         window = self._open.pop(key)

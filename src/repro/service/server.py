@@ -19,8 +19,9 @@ server.  One process, two cooperating threads:
 
 Dispatch is event-driven: every lane append and every drain request
 calls :meth:`~repro.runtime.supervisor.WorkerSupervisor.wake`, and the
-supervisor bounds its wait by the earliest coalescing-window deadline,
-so a request never waits on a poll tick.
+supervisor pulls a unit whenever a worker has room, so a request never
+waits on a poll tick and a coalescing window (:mod:`.coalesce`) fills
+only while every worker is busy.
 
 Completions flow back on the supervisor's ``on_payload``/``on_failure``
 callbacks (dispatcher thread), which journal the record, update the
@@ -147,12 +148,11 @@ class ServiceConfig:
     #: warm-starts planning and pre-attaches hot operands before the
     #: socket opens.
     store_dir: str | None = None
-    #: request coalescing (docs/SERVICE.md): fuse concurrent same-matrix
-    #: rung-0 requests into one wide-k SpMM.  ``coalesce=False`` (or a
-    #: non-positive window) dispatches every request solo.
+    #: request coalescing (docs/SERVICE.md): fuse same-matrix rung-0
+    #: requests that queue while every worker is busy into one wide-k
+    #: SpMM.  ``coalesce=False`` dispatches every request solo.
     coalesce: bool = True
-    #: how long the first member of a window waits for company, in
-    #: milliseconds — the worst-case latency coalescing can add
+    #: inert: windows have no timer any more; nothing reads this field
     coalesce_window_ms: float = 5.0
     #: size bound: a window closes once its summed dense width reaches
     #: this many columns
@@ -233,17 +233,14 @@ class SpmmService:
         self._matrices: OrderedDict = OrderedDict()
         self._lanes: dict[str, deque] = {lane: deque() for lane in LANES}
         self._inflight: dict[int, _Pending] = {}
-        #: the coalescing window (docs/SERVICE.md); None = disabled
+        #: the coalescing windows (docs/SERVICE.md); None = disabled
         self._coalescer = (
-            CoalescingScheduler(
-                window_s=config.coalesce_window_ms / 1000.0,
-                max_k=config.coalesce_max_k,
-            )
-            if config.coalesce and config.coalesce_window_ms > 0
+            CoalescingScheduler(max_k=config.coalesce_max_k)
+            if config.coalesce
             else None
         )
-        #: closed windows not yet handed to the supervisor, oldest first
-        self._closed: deque = deque()
+        #: members of windows closed by their size bound, not dispatched
+        self._closed: list = []
         #: per lane: requests out of their lane but not yet dispatched (in
         #: an open or closed window) — still backlog for admission
         self._parked: dict[str, int] = dict.fromkeys(LANES, 0)
@@ -262,6 +259,8 @@ class SpmmService:
         self._drained: asyncio.Event | None = None
         self._dispatcher: threading.Thread | None = None
         self._tasks: set = set()
+        #: open client connections: handler task -> its stream writer
+        self._connections: dict = {}
 
     # =================================================== lifecycle (async)
     async def serve(self) -> dict:
@@ -315,6 +314,14 @@ class SpmmService:
             self._draining = True
             if self._tasks:
                 await asyncio.gather(*self._tasks, return_exceptions=True)
+            # End open connections (replies sent): a closed writer hands
+            # its handler EOF; one left running would be cancelled at loop
+            # teardown, which asyncio logs with a traceback.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.gather(*self._connections,
+                                     return_exceptions=True)
             await self._loop.run_in_executor(None, self._dispatcher.join)
             # Workers are down; unlink every operand segment this
             # lifetime published (a crash instead of a drain leaves them
@@ -447,18 +454,10 @@ class SpmmService:
         return runtime
 
     def _stream(self):
-        """The supervisor's item stream: closed windows, then lanes, or idle.
+        """The supervisor's item stream: one dispatch unit per pull, or idle.
 
-        Each pull first parks every queued coalescing-eligible request
-        (rung 0, coalescing on, not draining) in the
-        :class:`~.coalesce.CoalescingScheduler` and closes the windows
-        whose deadline has passed; closed windows, size-closed ones
-        included, then dispatch oldest first, each as one fused item.
-        Everything else (demoted rungs, deadline-demoted requests,
-        coalescing off, a drain's remainder) stays in its lane until the
-        supervisor has room, so the lanes keep their priority order, and
-        then dispatches solo.  A drain flushes every open window.
-
+        The supervisor pulls only when a worker has room for a unit, so
+        each pull dispatches at once whatever :meth:`_next_unit` picks.
         Ends (StopIteration) only when draining with empty lanes, no
         parked request, and no in-flight work — which is exactly when
         the supervisor run, and with it the dispatcher thread, finishes.
@@ -477,51 +476,64 @@ class SpmmService:
     def _next_unit(self, now: float, draining: bool):
         """The members of the next dispatch unit, or None.
 
-        Caller holds ``self._lock``.  The unit's members are registered
-        in flight here, under the same lock that took them out of the
-        lane or window, so admission never loses sight of them.
+        Caller holds ``self._lock``; the supervisor pulls only when a
+        worker has room, so the unit dispatches now.  Queued rung-0
+        requests are parked first (a drain closes every window instead).
+        Then the earliest-admitted unit leaves: a window, by its first
+        member (the oldest open one closes here), or else a lane request
+        in lane priority order, so a demoted request never waits behind
+        a window admitted after it.  The members go in flight under the
+        lock that took them out, so admission never loses sight of them.
         """
         coalescer = self._coalescer
-        if coalescer is not None:
-            if not draining:
-                for lane in LANES:
-                    queue = self._lanes[lane]
-                    for _ in range(len(queue)):
-                        pend = queue.popleft()
-                        if pend.rung != 0:
-                            queue.append(pend)  # keeps its lane order
-                            continue
-                        self._parked[lane] += 1
-                        self._closed.extend(coalescer.add(
-                            self._fusion_key(pend),
-                            pend,
-                            pend.request.dense_cols,
-                            now,
-                        ))
-            self._closed.extend(coalescer.pop_ready(now, flush_all=draining))
-        if self._closed:
-            _key, members = self._closed.popleft()
+        if coalescer is not None and draining:
+            self._closed += [m for _, m in coalescer.pop_ready(flush_all=True)]
+        elif coalescer is not None:
+            self._park(now)
+        opened = coalescer.oldest() if coalescer is not None else None
+        windows = self._closed + ([opened] if opened else [])
+        window = min(windows, key=lambda unit: unit[0].index, default=None)
+        lanes = [q for q in self._lanes.values() if q]
+        if lanes and (window is None or
+                      min(q[0].index for q in lanes) < window[0].index):
+            members = [lanes[0].popleft()]
+            if coalescer is not None:
+                # demoted rung (or drain remainder): never held for company
+                self.metrics.counter("coalesce.bypass").inc()
+        elif window is None:
+            return None
+        else:
+            if window is opened:
+                coalescer.pop_ready()
+            else:
+                self._closed = [w for w in self._closed if w is not window]
+            members = window
             for pend in members:
                 self._parked[pend.lane] -= 1
-        else:
-            queue = next((self._lanes[lane] for lane in LANES
-                          if self._lanes[lane]), None)
-            if queue is None:
-                return None
-            members = [queue.popleft()]
-            if coalescer is not None:
-                # demoted rung (or drain flush): never held for company
-                self.metrics.counter("coalesce.bypass").inc()
         for pend in members:
             self._inflight[pend.index] = pend
         return members
 
-    def _next_deadline(self) -> float | None:
-        """When the earliest open coalescing window closes (supervisor seam)."""
-        if self._coalescer is None:
-            return None
-        with self._lock:
-            return self._coalescer.next_deadline()
+    def _park(self, now: float) -> None:
+        """File every queued rung-0 request in its window, oldest first.
+
+        Caller holds ``self._lock``.  Admission order makes windows open
+        in their first members' order; one filled to ``coalesce_max_k``
+        closes here and waits in ``_closed``.
+        """
+        queued = []
+        for queue in self._lanes.values():
+            for _ in range(len(queue)):
+                pend = queue.popleft()
+                if pend.rung != 0:
+                    queue.append(pend)  # keeps its lane order
+                else:
+                    queued.append(pend)
+        for pend in sorted(queued, key=lambda p: p.index):
+            self._parked[pend.lane] += 1
+            self._closed += [m for _, m in self._coalescer.add(
+                self._fusion_key(pend), pend, pend.request.dense_cols, now,
+            )]
 
     def _queued(self) -> tuple[int, int]:
         """``(total, batch lane)`` admitted requests not yet dispatched.
@@ -589,7 +601,6 @@ class SpmmService:
                 self._stream(),
                 on_payload=self._on_payload,
                 on_failure=self._on_failure,
-                next_deadline=self._next_deadline,
             )
         except BaseException as exc:  # supervisor itself died: fail all
             self._dispatch_error = f"{type(exc).__name__}: {exc}"
@@ -599,10 +610,10 @@ class SpmmService:
                     self._lanes[lane].clear()
                     self._parked[lane] = 0
                 if self._coalescer is not None:
-                    self._closed.extend(
-                        self._coalescer.pop_ready(0.0, flush_all=True)
-                    )
-                for _key, members in self._closed:
+                    self._closed += [
+                        m for _, m in self._coalescer.pop_ready(flush_all=True)
+                    ]
+                for members in self._closed:
                     self._inflight.update((p.index, p) for p in members)
                 self._closed.clear()
                 orphans = list(self._inflight)
@@ -643,12 +654,13 @@ class SpmmService:
             if pend is None:
                 continue
             record = RunRecord.from_json(record_json)
+            digest = record.digest()  # once, for the journal and the reply
             self.admission.observe_completion(
                 time.monotonic() - pend.dispatched_at
             )
             # A degraded journal loses the line but never the answer; a
             # restart re-executes it (at-least-once, never silent loss).
-            self.state.journal.append(pend.fingerprint, record)
+            self.state.journal.append(pend.fingerprint, record, digest=digest)
             self._completed[pend.fingerprint] = record
             self._counts["completed"] += 1
             self.metrics.counter("service.completed").inc()
@@ -656,7 +668,9 @@ class SpmmService:
                 self._counts["recovered"] += 1
                 self.metrics.counter("service.recovered").inc()
             self._update_gauges()
-            self._resolve(pend, self._ok_result(pend, record, replayed=False))
+            self._resolve(
+                pend, self._ok_result(pend, record, digest, replayed=False)
+            )
 
     def _on_failure(self, failed: FailedItem, item=None) -> None:
         """Quarantine hook: a structured 500 per request, never a hang.
@@ -696,12 +710,13 @@ class SpmmService:
         except RuntimeError:
             pass  # loop gone; the client connection is gone with it
 
-    def _ok_result(self, pend: _Pending, record, *, replayed: bool) -> dict:
+    def _ok_result(self, pend: _Pending, record, digest: str, *,
+                   replayed: bool) -> dict:
         return {
             "status": STATUS_OK,
             "result": {
                 "fingerprint": pend.fingerprint,
-                "digest": record.digest(),
+                "digest": digest,
                 "variant": record.variant,
                 "algorithm": record.algorithm,
                 "time_s": record.time_s,
@@ -750,6 +765,8 @@ class SpmmService:
         """One client connection: any number of pipelined NDJSON requests."""
         wlock = asyncio.Lock()
         conn_tasks: set = set()
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 try:
@@ -782,6 +799,7 @@ class SpmmService:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):
                 pass
+            del self._connections[handler]
 
     async def _serve_line(self, line: bytes, writer, wlock) -> None:
         rid = ""
@@ -876,7 +894,8 @@ class SpmmService:
                 tenant=req.tenant, lane=req.lane, rung=rung,
                 request=request, future=None, enqueued_at=time.monotonic(),
             )
-            return self._ok_result(pend, record, replayed=True)
+            return self._ok_result(pend, record, record.digest(),
+                                   replayed=True)
         decision = self.admission.admit(
             req.tenant, req.lane,
             queued_total=queued_total, queued_batch=queued_batch,

@@ -11,7 +11,8 @@ DCSR C-stationary winners, online tiled DCSR) plus a COO input with
 duplicate coordinates; k in {16, 64}; the service's three ladder rungs;
 a cold run followed by a plan-cache hit on the same runtime; a warm
 start, where a fresh runtime replays every case from the persistent
-store an earlier runtime filled; and, at rung 0, both batch transports
+store an earlier runtime filled; ``serve`` answering every generator-spec
+case at each rung over its socket; and, at rung 0, both batch transports
 (serial and the supervised pool, with and without fused windows) plus a
 resume that replays the whole batch from its journal.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,8 @@ from repro.formats import COOMatrix
 from repro.gpu import get_config
 from repro.matrices import from_spec
 from repro.runtime import ParallelExecutor, PlanCache, SpmmRequest, SpmmRuntime
-from repro.service import LADDER
+from repro.service import LADDER, ServiceClient, ServiceConfig, SpmmService
+from repro.service.admission import AdmissionController
 from repro.store import PersistentFormatStore
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
@@ -168,6 +171,40 @@ def test_batch_digests_match_fixture(path, name, tmp_path):
     assert [r.record.digest() for r in results] == [
         expected[f"{name}|{k}|0"] for k in KS
     ]
+
+
+def test_service_digests_match_fixture(tmp_path, monkeypatch):
+    """``serve`` answers every generator-spec case at every k and rung,
+    over its socket, with the pinned digest."""
+    rung = 0  # every submit runs at the rung the loop below is on
+    monkeypatch.setattr(AdmissionController, "choose_rung",
+                        lambda self, deadline_s, *, backlog: rung)
+    service = SpmmService(ServiceConfig(
+        socket_path=str(tmp_path / "golden.sock"),
+        state_dir=str(tmp_path / "state"), gpu=GPU,
+    ))
+    thread = threading.Thread(target=service.run, daemon=True)
+    thread.start()
+    expected = load_fixture()["digests"]
+    got, want = {}, {}
+    try:
+        with ServiceClient(service.config.socket_path) as client:
+            for name, spec in SPECS.items():
+                for k in KS:
+                    for rung in range(len(LADDER)):
+                        resp = client.submit(spec, k=k, seed=k + 1)
+                        case = f"{name}|{k}|{rung}"
+                        assert resp["status"] == 200, (case, resp)
+                        result = resp["result"]
+                        assert result["rung"] == rung, case
+                        assert result["replayed"] is False, case
+                        got[case] = result["digest"]
+                        want[case] = expected[case]
+    finally:
+        service.request_drain()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert got == want
 
 
 def test_fixture_covers_both_planner_branches():

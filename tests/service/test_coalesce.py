@@ -2,9 +2,10 @@
 
 The scheduler itself is pure logic (unit-tested directly); the live
 tests drive a real in-process service with concurrent same-matrix
-clients and assert the tentpole contract end to end — fewer matrix
-passes than requests, per-request digests identical to serial runs, and
-`coalesce.*` counters that add up.
+clients, held so they queue as they do while every worker is busy, and
+assert the contract end to end — fewer matrix passes than requests,
+per-request digests identical to serial runs, and `coalesce.*` counters
+that add up.
 """
 
 import threading
@@ -14,7 +15,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.service import CoalescingScheduler, ServiceClient
 
-from .conftest import SPECS
+from .conftest import SPECS, queued, wait_until
 from .test_server import serial_digest
 
 SPEC = SPECS[2]  # uniform:40:30:0.1:3
@@ -23,52 +24,62 @@ SPEC = SPECS[2]  # uniform:40:30:0.1:3
 # --------------------------------------------------------- pure scheduler
 class TestCoalescingScheduler:
     def test_window_closes_by_size(self):
-        sched = CoalescingScheduler(window_s=10.0, max_k=16)
-        assert sched.add("key", "a", 8, now=0.0) == []
+        sched = CoalescingScheduler(max_k=16)
+        assert sched.add("key", "a", 8, 0.0) == []
         assert sched.pending == 1
-        closed = sched.add("key", "b", 8, now=0.0)
+        closed = sched.add("key", "b", 8, 0.0)
         assert closed == [("key", ["a", "b"])]
         assert sched.pending == 0
 
     def test_overflow_starts_a_fresh_window(self):
-        sched = CoalescingScheduler(window_s=10.0, max_k=16)
-        sched.add("key", "a", 10, now=0.0)
-        closed = sched.add("key", "b", 10, now=0.0)
+        sched = CoalescingScheduler(max_k=16)
+        sched.add("key", "a", 10, 0.0)
+        closed = sched.add("key", "b", 10, 0.0)
         # b would overflow a's window: a closes alone, b keeps waiting
         assert closed == [("key", ["a"])]
         assert sched.pending == 1
 
-    def test_window_closes_by_deadline(self):
-        sched = CoalescingScheduler(window_s=0.5, max_k=64)
-        sched.add("k1", "a", 8, now=0.0)
-        sched.add("k2", "b", 8, now=0.2)
-        assert sched.pop_ready(0.4) == []
-        assert sched.pop_ready(0.6) == [("k1", ["a"])]
-        assert sched.pop_ready(0.8) == [("k2", ["b"])]
+    def test_pop_ready_closes_the_oldest_window(self):
+        sched = CoalescingScheduler(max_k=64)
+        sched.add("k1", "a", 8, 0.0)
+        sched.add("k2", "b", 8, 0.2)
+        sched.add("k1", "c", 8, 0.3)  # joins the older window
+        assert sched.oldest() == ["a", "c"]
+        assert sched.pop_ready() == [("k1", ["a", "c"])]
+        assert sched.pop_ready() == [("k2", ["b"])]
+        assert sched.pop_ready() == [] and sched.oldest() is None
 
-    def test_deadline_set_by_first_member(self):
-        sched = CoalescingScheduler(window_s=0.5, max_k=64)
-        sched.add("key", "a", 8, now=0.0)
-        sched.add("key", "b", 8, now=0.45)  # late arrival: no extension
-        assert sched.next_deadline() == pytest.approx(0.5)
-        assert sched.pop_ready(0.55) == [("key", ["a", "b"])]
+    def test_age_is_set_by_the_first_member(self):
+        sched = CoalescingScheduler(max_k=64)
+        sched.add("k1", "a", 8, 0.0)
+        sched.add("k2", "b", 8, 0.0)  # same instant: opening order
+        assert sched.pop_ready() == [("k1", ["a"])]
+        sched.add("k1", "c", 8, 0.5)  # a reopened key is young again
+        sched.add("k2", "d", 8, 0.6)  # a late member does not age k2
+        assert sched.pop_ready() == [("k2", ["b", "d"])]
+        assert sched.pop_ready() == [("k1", ["c"])]
 
-    def test_flush_all_ignores_deadlines(self):
-        sched = CoalescingScheduler(window_s=60.0, max_k=64)
-        sched.add("key", "a", 8, now=0.0)
-        assert sched.pop_ready(0.0, flush_all=True) == [("key", ["a"])]
+    def test_flush_all_closes_every_window_oldest_first(self):
+        sched = CoalescingScheduler(max_k=64)
+        sched.add("k2", "a", 8, 0.0)
+        sched.add("k1", "b", 8, 0.1)
+        assert sched.pop_ready(flush_all=True) == [
+            ("k2", ["a"]), ("k1", ["b"]),
+        ]
         assert sched.pending == 0
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="window_s"):
-            CoalescingScheduler(window_s=0, max_k=8)
         with pytest.raises(ConfigError, match="max_k"):
-            CoalescingScheduler(window_s=1.0, max_k=0)
+            CoalescingScheduler(max_k=0)
 
 
 # ------------------------------------------------------------ live service
-def _concurrent_submits(socket_path, seeds, *, spec=SPEC):
-    """Submit one request per seed from concurrent client threads."""
+def _concurrent_submits(socket_path, seeds, *, spec=SPEC, release=None):
+    """Submit one request per seed from concurrent client threads.
+
+    ``release()``, when given, runs once every thread has started (it
+    waits for the submits to queue, then lets them dispatch).
+    """
     results: dict[int, dict] = {}
     errors: list = []
 
@@ -82,16 +93,26 @@ def _concurrent_submits(socket_path, seeds, *, spec=SPEC):
     threads = [threading.Thread(target=one, args=(s,)) for s in seeds]
     for t in threads:
         t.start()
+    if release is not None:
+        release()
     for t in threads:
         t.join()
     assert not errors, errors
     return results
 
 
-def test_concurrent_same_matrix_requests_fuse(service_factory):
-    handle = service_factory(coalesce_window_ms=250.0)
+def test_concurrent_same_matrix_requests_fuse(service_factory, held):
+    # Requests that queue while no worker can take them share a window.
+    handle = service_factory()
+    svc = handle.service
+    held.pulls()
     seeds = list(range(6))
-    results = _concurrent_submits(handle.socket_path, seeds)
+
+    def release():
+        wait_until(lambda: queued(svc) == len(seeds))
+        held.release_pulls(svc)
+
+    results = _concurrent_submits(handle.socket_path, seeds, release=release)
     for seed in seeds:
         result = results[seed]["result"]
         assert results[seed]["status"] == 200
@@ -127,33 +148,41 @@ def test_coalescing_disabled_dispatches_solo(service_factory):
     assert "coalesce.fused_windows" not in counters
 
 
-def test_drain_flushes_open_windows(service_factory):
+def test_drain_flushes_open_windows(service_factory, held):
     """Requests parked in a window when drain lands still complete."""
-    handle = service_factory(coalesce_window_ms=10_000.0)
-    seeds = [0, 1]
+    # One held worker: the pull that takes the oldest window (a request
+    # on another matrix) leaves the two same-matrix requests parked.
+    handle = service_factory(workers=1)
+    svc = handle.service
+    held.pulls()
+    held.workers()
+    submits = [(SPECS[0], 9), (SPEC, 0), (SPEC, 1)]
     results: dict[int, dict] = {}
 
-    def one(seed):
+    def one(spec, seed):
         with ServiceClient(handle.socket_path) as client:
-            results[seed] = client.submit(SPEC, seed=seed)
+            results[seed] = client.submit(spec, seed=seed)
 
-    threads = [threading.Thread(target=one, args=(s,)) for s in seeds]
-    for t in threads:
-        t.start()
-    # both requests are now (soon) parked in a 10s window; drain must
-    # flush them rather than waiting out the deadline
-    import time
-
-    time.sleep(0.5)
-    handle.service.request_drain()
+    threads = []
+    for spec, seed in submits:
+        threads.append(threading.Thread(target=one, args=(spec, seed)))
+        threads[-1].start()
+        wait_until(lambda n=len(threads): queued(svc) == n)
+    held.release_pulls(svc)
+    wait_until(lambda: svc._coalescer.pending == 2)
+    # drain must flush the open window, not strand it
+    svc.request_drain()
+    held.release_workers(svc)
     for t in threads:
         t.join(timeout=60)
         assert not t.is_alive()
     summary = handle.stop()
-    assert summary["completed"] == 2
-    for seed in seeds:
+    assert summary["completed"] == 3
+    for spec, seed in submits:
         assert results[seed]["status"] == 200
         assert (
             results[seed]["result"]["digest"]
-            == serial_digest(SPEC, seed=seed)
+            == serial_digest(spec, seed=seed)
         )
+    counters = svc.metrics.snapshot()["counters"]
+    assert counters["coalesce.fused_windows"] == 1

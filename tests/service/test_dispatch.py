@@ -1,13 +1,15 @@
-"""Event-driven dispatch: no request waits on the supervisor's poll tick.
+"""Event-driven, work-conserving dispatch: no request waits on a tick.
 
 The latency tests raise the supervisor's tick to 2 s and turn heartbeats
 off, so a path that still needs a tick to make progress (a queued
-request noticed by polling, a window deadline noticed late, a drain flag
-read on the next tick) takes about 2 s.  Lane appends and drains wake
-the supervisor instead, and it waits no longer than the earliest window
-deadline, so each of those replies arrives well inside ``BUDGET_S``.
-The rest check that requests parked in windows still count as backlog
-and that a generator spec's matrix is built once.
+request noticed by polling, a drain flag read on the next tick) takes
+about 2 s.  Lane appends and drains wake the supervisor instead, and a
+worker with room takes the oldest window at once, so each of those
+replies arrives well inside ``BUDGET_S``.  The coalescing tests hold the
+dispatcher (``HeldDispatch``) so a burst queues as it does while every
+worker is busy.  The rest check dispatch order, that requests parked in
+windows still count as backlog, and that a generator spec's matrix is
+built once.
 """
 
 import sys
@@ -23,7 +25,7 @@ from repro.service import ServiceClient
 from repro.service import server as server_module
 from repro.service.admission import AdmissionConfig
 
-from .conftest import SPECS
+from .conftest import SPECS, queued, wait_until
 from .test_server import serial_digest
 
 #: the latency budget: a quarter of one raised tick
@@ -63,6 +65,14 @@ def _timed_submit(socket_path, seed, out=None, barrier=None):
     return resp, elapsed
 
 
+def _submit(socket_path, spec, deadline_s=None, seed=0, out=None):
+    with ServiceClient(socket_path) as client:
+        resp = client.submit(spec, seed=seed, deadline_s=deadline_s)
+    if out is not None:
+        out[seed] = resp
+    return resp
+
+
 def _counters(socket_path) -> dict:
     with ServiceClient(socket_path) as client:
         return client.stats()["metrics"]["counters"]
@@ -76,18 +86,20 @@ def test_lone_submit_without_coalescing(start):
     assert elapsed < BUDGET_S
 
 
-def test_lone_submit_waits_out_exactly_its_window(start):
-    handle = start(coalesce_window_ms=100.0)
+def test_lone_submit_with_idle_workers_skips_the_window(start):
+    # A window has no timer: with a worker free, the request's window is
+    # the oldest, so it closes on the pull its admission wakes.
+    handle = start(coalesce_window_ms=10_000.0)
     resp, elapsed = _timed_submit(handle.socket_path, seed=1)
     assert resp["status"] == 200
     assert resp["result"]["digest"] == serial_digest(SPEC, seed=1)
-    # held for company until the deadline, then dispatched on time
-    assert 0.1 <= elapsed < BUDGET_S
+    assert elapsed < BUDGET_S
 
 
-def test_concurrent_same_matrix_submits_fuse_into_one_window(start):
-    handle = start(coalesce_window_ms=200.0)
+def test_concurrent_same_matrix_submits_fuse_into_one_window(start, held):
+    handle = start()
     before = _counters(handle.socket_path)
+    held.pulls()
     seeds = [1, 2, 3, 4]
     out: dict = {}
     barrier = threading.Barrier(len(seeds))
@@ -98,14 +110,15 @@ def test_concurrent_same_matrix_submits_fuse_into_one_window(start):
     ]
     for t in threads:
         t.start()
+    wait_until(lambda: queued(handle.service) == len(seeds))
+    held.release_pulls(handle.service)
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()
     for seed in seeds:
-        resp, elapsed = out[seed]
+        resp, _ = out[seed]
         assert resp["status"] == 200
         assert resp["result"]["digest"] == serial_digest(SPEC, seed=seed)
-        assert elapsed < BUDGET_S
     after = _counters(handle.socket_path)
 
     def delta(name):
@@ -116,8 +129,43 @@ def test_concurrent_same_matrix_submits_fuse_into_one_window(start):
     assert delta("coalesce.matrix_passes") == 1
 
 
+def test_demoted_request_leaves_before_later_windows(start, held,
+                                                     monkeypatch):
+    # A demoted request admitted before a run of rung-0 windows is
+    # dispatched before all of them: units leave in admission order.
+    monkeypatch.setattr(
+        server_module.AdmissionController, "choose_rung",
+        lambda self, deadline_s, *, backlog: 0 if deadline_s is None else 2,
+    )
+    planned = []
+    plan_handle = server_module.SpmmService._plan_handle
+
+    def recording(self, pend):
+        planned.append((pend.index, pend.rung))
+        return plan_handle(self, pend)
+
+    handle = start()
+    svc = handle.service
+    monkeypatch.setattr(server_module.SpmmService, "_plan_handle", recording)
+    held.pulls()
+    submits = [(SPECS[0], 30.0), (SPECS[1], None), (SPECS[2], None)]
+    threads = []
+    for n, (spec, deadline) in enumerate(submits, start=1):
+        threads.append(threading.Thread(target=_submit, args=(
+            handle.socket_path, spec, deadline)))
+        threads[-1].start()
+        wait_until(lambda n=n: queued(svc) == n)
+    held.release_pulls(svc)
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    # planned in admission order, the demoted request first
+    assert [rung for _, rung in planned] == [2, 0, 0]
+    assert planned == sorted(planned)
+
+
 def test_drain_is_prompt(start):
-    handle = start(coalesce_window_ms=100.0)
+    handle = start()
     t0 = time.monotonic()
     with ServiceClient(handle.socket_path) as client:
         summary = client.drain()
@@ -127,34 +175,39 @@ def test_drain_is_prompt(start):
     assert not handle.thread.is_alive()
 
 
-def test_parked_requests_count_toward_backpressure(service_factory):
-    # Two requests sit in a 10 s window; with a 2-deep admission window a
-    # third must be shed, not admitted past a backlog admission cannot see.
+def test_parked_requests_count_toward_backpressure(service_factory, held):
+    # One worker, held: the pull that takes the first request's window
+    # leaves the second parked.  With a 2-deep admission window the
+    # parked request and one queued behind it are the whole backlog, so
+    # a fourth submit must be shed, not admitted past a backlog
+    # admission cannot see.
     admission = AdmissionConfig(max_pending=2, tenant_rate=10_000.0,
                                 tenant_burst=10_000)
-    handle = service_factory(admission=admission,
-                             coalesce_window_ms=10_000.0)
+    handle = service_factory(admission=admission, workers=1)
     svc = handle.service
+    held.pulls()
+    held.workers()
     out: dict = {}
-    threads = [
-        threading.Thread(target=_timed_submit,
-                         args=(handle.socket_path, seed, out))
-        for seed in (1, 2)
-    ]
-    for t in threads:
-        t.start()
-    give_up = time.monotonic() + 10
-    while svc._coalescer.pending < 2 and time.monotonic() < give_up:
-        time.sleep(0.01)
-    assert svc._coalescer.pending == 2
+    threads = []
+    for spec, seed in ((SPECS[0], 1), (SPEC, 2)):
+        threads.append(threading.Thread(
+            target=_submit, args=(handle.socket_path, spec, None, seed, out)))
+        threads[-1].start()
+        wait_until(lambda n=len(threads): queued(svc) == n)
+    held.release_pulls(svc)
+    wait_until(lambda: svc._coalescer.pending == 1 and queued(svc) == 1)
+    threads.append(threading.Thread(
+        target=_submit, args=(handle.socket_path, SPEC, None, 3, out)))
+    threads[-1].start()
+    wait_until(lambda: queued(svc) == 2)
     with ServiceClient(handle.socket_path) as client:
-        resp = client.submit(SPEC, seed=3)
+        resp = client.submit(SPEC, seed=4)
     assert resp["status"] == 429 and resp["reason"] == "backpressure"
-    svc.request_drain()  # flushes the window
+    held.release_workers(svc)
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()
-    assert [out[seed][0]["status"] for seed in (1, 2)] == [200, 200]
+    assert [out[seed]["status"] for seed in (1, 2, 3)] == [200, 200, 200]
 
 
 def test_backlog_accounting_survives_a_submit_storm(service_factory):
@@ -162,7 +215,7 @@ def test_backlog_accounting_survives_a_submit_storm(service_factory):
     # lost update to the lane/window accounting would leave phantom
     # backlog behind once every reply is in.
     admission = AdmissionConfig(tenant_rate=10_000.0, tenant_burst=10_000)
-    handle = service_factory(admission=admission, coalesce_window_ms=20.0)
+    handle = service_factory(admission=admission)
     seeds = range(16)
     out: dict = {}
     threads = [

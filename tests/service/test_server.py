@@ -7,6 +7,7 @@ serial :class:`SpmmRuntime` run is the correctness oracle throughout.
 """
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -15,7 +16,7 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.gpu import get_config
 from repro.matrices import from_spec
-from repro.runtime import Planner, SpmmRequest, SpmmRuntime
+from repro.runtime import Planner, RunRecord, SpmmRequest, SpmmRuntime
 from repro.runtime.journal import RunJournal, request_fingerprint
 from repro.runtime.supervisor import ChaosFault
 from repro.service import LADDER, ServiceClient, ServiceState, SpmmService
@@ -54,17 +55,6 @@ def raw_request(socket_path, payload: bytes, timeout=10.0) -> bytes:
 
 
 # ----------------------------------------------------------- happy path
-def test_submit_matches_serial_digests(service_factory):
-    handle = service_factory()
-    with ServiceClient(handle.socket_path) as client:
-        for spec in SPECS:
-            resp = client.submit(spec)
-            assert resp["status"] == 200, resp
-            result = resp["result"]
-            assert result["rung"] == 0 and result["replayed"] is False
-            assert result["digest"] == serial_digest(spec)
-
-
 def test_duplicate_submit_replays_from_journal(service_factory):
     handle = service_factory()
     with ServiceClient(handle.socket_path) as client:
@@ -75,6 +65,33 @@ def test_duplicate_submit_replays_from_journal(service_factory):
         health = client.health()
         assert health["counts"]["replayed"] == 1
         assert health["counts"]["completed"] == 1
+
+
+def test_one_completion_renders_one_digest(service_factory, monkeypatch,
+                                           tmp_path):
+    # The journal line and the reply share one RunRecord.digest() call
+    # (counted in this process only: workers fork their own copy).
+    calls = []
+    digest = RunRecord.digest
+
+    def counting(self):
+        calls.append(self)
+        return digest(self)
+
+    monkeypatch.setattr(RunRecord, "digest", counting)
+    handle = service_factory()
+    with ServiceClient(handle.socket_path) as client:
+        resp = client.submit(SPECS[0])
+    assert resp["status"] == 200
+    assert len(calls) == 1
+    # ... and the journal line is byte-identical to one that renders its
+    # own digest
+    path = handle.service.state.journal_path
+    (fingerprint, record), = RunJournal.load(path).records.items()
+    fresh = RunJournal(tmp_path / "fresh.jsonl")
+    assert fresh.append(fingerprint, record)
+    with open(path) as served, open(fresh.path) as rendered:
+        assert served.read() == rendered.read()
 
 
 def test_health_reports_shape(service_factory):
@@ -311,6 +328,25 @@ def test_drain_endpoint_summarizes_and_refuses_new_work(service_factory):
             assert resp["status"] == 503
     except (ReproError, OSError):
         pass  # connection refused: the listener is already down
+
+
+def test_drain_from_an_open_connection_logs_no_traceback(service_factory,
+                                                        caplog):
+    # The draining client keeps its connection open until the service
+    # has stopped: its handler must end normally, not be cancelled
+    # mid-await at loop teardown (which asyncio logs with a traceback).
+    handle = service_factory()
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        with ServiceClient(handle.socket_path) as client:
+            for seed in range(3):
+                assert client.submit(SPECS[0], seed=seed)["status"] == 200
+            assert client.drain()["completed"] == 3
+            handle.thread.join(timeout=30.0)
+            assert not handle.thread.is_alive()
+    assert handle.summary["completed"] == 3
+    logged = [r.getMessage() for r in caplog.records
+              if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert logged == []
 
 
 # -------------------------------------------------------------------- CLI

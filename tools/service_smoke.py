@@ -18,10 +18,11 @@ subprocess and walks the full crash matrix from the outside:
    to serial.  No silent loss.
 3. **SIGTERM drain** — the restarted server is SIGTERMed and must exit 0
    with a drain summary on stdout.
-4. **Coalescing round-trip** — concurrent same-matrix clients against a
-   server with a wide fusion window.  The fused pass count
-   (``coalesce.matrix_passes``) must come in below the request count,
-   and every per-request digest must still equal its serial run.
+4. **Coalescing round-trip** — concurrent same-matrix clients; those
+   that queue while both workers are busy share a window.  The fused
+   pass count (``coalesce.matrix_passes``) must come in below the
+   request count, and every per-request digest must still equal its
+   serial run.
 
 Exit status: 0 when the whole matrix holds, nonzero otherwise.
 """
@@ -277,7 +278,7 @@ def phase_coalesce(tmp):
           "clients ==")
     sock = os.path.join(tmp, "svc3.sock")
     state = os.path.join(tmp, "state3")
-    proc = start_server(sock, state, "--coalesce-window-ms", "300")
+    proc = start_server(sock, state)
 
     spec = SPEC.format(seed=42)  # one matrix, six dense operands
     seeds = list(range(6))
