@@ -374,13 +374,12 @@ def plan_fusion_groups(
     from ..service.coalesce import CoalescingScheduler
 
     scheduler = CoalescingScheduler(max_k=max_k)
-    windows: list = []
     for i in indices:
-        windows += scheduler.add(
+        scheduler.add(
             fusion_group_key(runtime, requests[i]), i,
             requests[i].dense_cols, 0.0,
         )
-    windows += scheduler.pop_ready(flush_all=True)
+    windows = scheduler.pop_ready(flush_all=True)
     groups = sorted((m for _, m in windows if len(m) > 1), key=lambda m: m[0])
     singles = sorted(m[0] for _, m in windows if len(m) == 1)
     return groups, singles

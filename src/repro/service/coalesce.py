@@ -9,40 +9,41 @@ stream once instead of N times.
 There is no timer.  The service pulls a unit only when a worker has
 room for it and each pull closes the oldest window (:meth:`pop_ready`),
 so a window fills only while every worker is busy, when fusion pays.
-A window also closes once its summed dense width reaches ``max_k``;
-windows leave oldest first (by when their first member was filed); only
+A window also stops taking members once its summed dense width reaches
+``max_k``; windows leave in the order they opened, full or not; only
 rung-0 requests enter one; and a window of one dispatches solo.
 
 The scheduler is a passive data structure: the server's dispatcher loop
-calls :meth:`add` / :meth:`pop_ready` under its own lock and clock, and
-batch fusion (:func:`repro.runtime.fusion.plan_fusion_groups`) files a
-whole static batch, then flushes it.
+calls :meth:`add` / :meth:`pop_ready` under its own lock, and batch
+fusion (:func:`repro.runtime.fusion.plan_fusion_groups`) files a whole
+static batch, then flushes it.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from ..errors import ConfigError
 
 
 class _Window:
-    """One open coalescing window: members, summed width, opening time."""
+    """One coalescing window: its key, members and summed dense width."""
 
-    __slots__ = ("key", "members", "total_k", "opened_at")
+    __slots__ = ("key", "members", "total_k")
 
-    def __init__(self, key, opened_at: float):
+    def __init__(self, key):
         self.key = key
         self.members: list = []
         self.total_k = 0
-        self.opened_at = float(opened_at)
 
 
 class CoalescingScheduler:
     """Group fusable dispatches into size-bounded wide-k windows.
 
-    ``add`` files a member under its fusion key and returns any window
-    that *closed* as a result (the size bound tripped); ``pop_ready``
-    closes the oldest open window.  Members come back as
-    ``(key, [member, ...])`` in arrival order; the caller decides what a
+    ``add`` files a member under its fusion key; ``pop_ready`` closes
+    the oldest window and returns it as ``(key, [member, ...])``, members
+    in arrival order.  A window that reaches ``max_k`` takes no further
+    members but keeps its place in line.  The caller decides what a
     "member" is (the server uses its ``_Pending`` entries) — the
     scheduler only needs each member's dense width.
     """
@@ -51,53 +52,49 @@ class CoalescingScheduler:
         if max_k < 1:
             raise ConfigError(f"max_k must be >= 1, got {max_k}")
         self.max_k = int(max_k)
-        self._open: dict = {}  # key -> _Window
+        #: every window not yet popped, in opening order (oldest first)
+        self._windows: deque = deque()
+        #: key -> the window of ``_windows`` still taking members
+        self._open: dict = {}
 
     @property
     def pending(self) -> int:
-        """How many members are currently parked in open windows."""
-        return sum(len(w.members) for w in self._open.values())
+        """How many members are currently parked in windows."""
+        return sum(len(w.members) for w in self._windows)
 
     def add(self, key, member, k: int, now: float) -> list:
-        """File ``member`` (dense width ``k``) under ``key`` at time ``now``.
+        """File ``member`` (dense width ``k``) under ``key``.
 
-        Returns the windows this arrival *closed* (0, 1, or 2 of them):
-        a member that would overflow an open window's ``max_k`` closes
-        that window first and starts a fresh one; a member whose ``k``
-        alone meets ``max_k`` closes its own window immediately.
+        A member that would overflow its key's window starts a fresh one
+        behind it; a window whose summed ``k`` meets ``max_k`` takes no
+        more members.  Every window leaves through :meth:`pop_ready`, so
+        this returns an empty list; the list return and the unread
+        ``now`` stay because perfbench's traced layer reads both.
         """
-        closed = []
         window = self._open.get(key)
-        if window is not None and window.total_k + k > self.max_k:
-            closed.append(self._close(key))
-            window = None
-        if window is None:
-            window = _Window(key, now)
-            self._open[key] = window
+        if window is None or window.total_k + k > self.max_k:
+            window = self._open[key] = _Window(key)
+            self._windows.append(window)
         window.members.append(member)
         window.total_k += int(k)
         if window.total_k >= self.max_k:
-            closed.append(self._close(key))
-        return closed
+            del self._open[key]
+        return []
 
     def oldest(self) -> list | None:
-        """The members of the oldest open window (left open), or None."""
-        order = self._by_age()
-        return order[0].members if order else None
+        """The members of the oldest window (left in place), or None."""
+        return self._windows[0].members if self._windows else None
 
     def pop_ready(self, *, flush_all: bool = False) -> list:
-        """Close and return the oldest open window (none when idle).
+        """Close and return the oldest window (none when idle).
 
-        ``flush_all`` closes every open window instead (used on drain
-        and at the end of a static batch), oldest first.
+        ``flush_all`` closes every window instead, oldest first (used
+        at the end of a static batch and when the dispatcher dies).
         """
-        order = self._by_age()
-        return [self._close(w.key) for w in order[:None if flush_all else 1]]
-
-    def _by_age(self) -> list:
-        """Open windows, oldest first: by opening time, then opening order."""
-        return sorted(self._open.values(), key=lambda w: w.opened_at)
-
-    def _close(self, key) -> tuple:
-        window = self._open.pop(key)
-        return window.key, window.members
+        closed = []
+        while self._windows and (flush_all or not closed):
+            window = self._windows.popleft()
+            if self._open.get(window.key) is window:
+                del self._open[window.key]
+            closed.append((window.key, window.members))
+        return closed

@@ -239,10 +239,8 @@ class SpmmService:
             if config.coalesce
             else None
         )
-        #: members of windows closed by their size bound, not dispatched
-        self._closed: list = []
         #: per lane: requests out of their lane but not yet dispatched (in
-        #: an open or closed window) — still backlog for admission
+        #: a window) — still backlog for admission
         self._parked: dict[str, int] = dict.fromkeys(LANES, 0)
         self._lock = threading.Lock()
         self._completed: dict[str, RunRecord] = {}
@@ -341,8 +339,8 @@ class SpmmService:
         """Stop admitting; finish queued + in-flight work; then stop.
 
         Idempotent and thread/signal-safe: it flips a flag and wakes the
-        dispatcher, which flushes open windows and ends once the lanes
-        and in-flight work are empty.
+        dispatcher, which ends once the lanes, the windows and in-flight
+        work are empty.
         """
         self._draining = True
         self.supervisor.wake()
@@ -464,63 +462,55 @@ class SpmmService:
         """
         while True:
             with self._lock:
-                draining = self._draining
-                members = self._next_unit(time.monotonic(), draining)
-                if members is None and draining and not self._inflight:
+                members = self._next_unit()
+                if members is None and self._draining and not self._inflight:
                     return
             if members is None:
                 yield NO_ITEM
                 continue
             yield from self._emit(members)
 
-    def _next_unit(self, now: float, draining: bool):
+    def _next_unit(self):
         """The members of the next dispatch unit, or None.
 
         Caller holds ``self._lock``; the supervisor pulls only when a
         worker has room, so the unit dispatches now.  Queued rung-0
-        requests are parked first (a drain closes every window instead).
-        Then the earliest-admitted unit leaves: a window, by its first
-        member (the oldest open one closes here), or else a lane request
-        in lane priority order, so a demoted request never waits behind
-        a window admitted after it.  The members go in flight under the
-        lock that took them out, so admission never loses sight of them.
+        requests are parked first.  Then the oldest window leaves unless
+        the request lane priority puts next was admitted before its
+        first member: a demoted request never waits behind a window
+        admitted after it, and a flow of demoted requests admitted after
+        a window cannot hold it back.  The members go in flight under
+        the lock that took them out, so admission never loses sight of
+        them.
         """
         coalescer = self._coalescer
-        if coalescer is not None and draining:
-            self._closed += [m for _, m in coalescer.pop_ready(flush_all=True)]
-        elif coalescer is not None:
-            self._park(now)
-        opened = coalescer.oldest() if coalescer is not None else None
-        windows = self._closed + ([opened] if opened else [])
-        window = min(windows, key=lambda unit: unit[0].index, default=None)
-        lanes = [q for q in self._lanes.values() if q]
-        if lanes and (window is None or
-                      min(q[0].index for q in lanes) < window[0].index):
-            members = [lanes[0].popleft()]
+        window = None
+        if coalescer is not None:
+            self._park()
+            window = coalescer.oldest()
+        lane = next((q for q in self._lanes.values() if q), None)
+        if lane and (window is None or lane[0].index < window[0].index):
+            members = [lane.popleft()]
             if coalescer is not None:
-                # demoted rung (or drain remainder): never held for company
+                # a demoted rung: never held for company
                 self.metrics.counter("coalesce.bypass").inc()
         elif window is None:
             return None
         else:
-            if window is opened:
-                coalescer.pop_ready()
-            else:
-                self._closed = [w for w in self._closed if w is not window]
-            members = window
+            [(_, members)] = coalescer.pop_ready()
             for pend in members:
                 self._parked[pend.lane] -= 1
         for pend in members:
             self._inflight[pend.index] = pend
         return members
 
-    def _park(self, now: float) -> None:
+    def _park(self) -> None:
         """File every queued rung-0 request in its window, oldest first.
 
         Caller holds ``self._lock``.  Admission order makes windows open
-        in their first members' order; one filled to ``coalesce_max_k``
-        closes here and waits in ``_closed``.
+        in their first members' order.
         """
+        now = time.monotonic()
         queued = []
         for queue in self._lanes.values():
             for _ in range(len(queue)):
@@ -531,16 +521,16 @@ class SpmmService:
                     queued.append(pend)
         for pend in sorted(queued, key=lambda p: p.index):
             self._parked[pend.lane] += 1
-            self._closed += [m for _, m in self._coalescer.add(
+            self._coalescer.add(
                 self._fusion_key(pend), pend, pend.request.dense_cols, now,
-            )]
+            )
 
     def _queued(self) -> tuple[int, int]:
         """``(total, batch lane)`` admitted requests not yet dispatched.
 
         Caller holds ``self._lock``.  Counts every such request wherever
-        it waits — in a lane, an open window, or a closed window not yet
-        handed to the supervisor — so backpressure sees the whole backlog.
+        it waits — in a lane or in a window — so backpressure sees the
+        whole backlog.
         """
         total = sum(len(q) for q in self._lanes.values())
         total += sum(self._parked.values())
@@ -610,12 +600,8 @@ class SpmmService:
                     self._lanes[lane].clear()
                     self._parked[lane] = 0
                 if self._coalescer is not None:
-                    self._closed += [
-                        m for _, m in self._coalescer.pop_ready(flush_all=True)
-                    ]
-                for members in self._closed:
-                    self._inflight.update((p.index, p) for p in members)
-                self._closed.clear()
+                    for _, members in self._coalescer.pop_ready(flush_all=True):
+                        self._inflight.update((p.index, p) for p in members)
                 orphans = list(self._inflight)
             for index in orphans:
                 self._on_failure(FailedItem(

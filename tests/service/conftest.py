@@ -119,9 +119,8 @@ class HeldDispatch:
         pulls, workers = self._pulls_free, self._workers_free
         monkeypatch.setattr(
             server_module.SpmmService, "_next_unit",
-            lambda svc, now, draining: (
-                next_unit(svc, now, draining)
-                if draining or pulls.is_set() else None
+            lambda svc: (
+                next_unit(svc) if svc._draining or pulls.is_set() else None
             ),
         )
         monkeypatch.setattr(

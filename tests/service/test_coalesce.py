@@ -26,24 +26,38 @@ class TestCoalescingScheduler:
     def test_window_closes_by_size(self):
         sched = CoalescingScheduler(max_k=16)
         assert sched.add("key", "a", 8, 0.0) == []
-        assert sched.pending == 1
-        closed = sched.add("key", "b", 8, 0.0)
-        assert closed == [("key", ["a", "b"])]
+        assert sched.add("key", "b", 8, 0.0) == []
+        # full: c opens a fresh window behind it
+        sched.add("key", "c", 8, 0.0)
+        assert sched.pending == 3
+        assert sched.pop_ready() == [("key", ["a", "b"])]
+        assert sched.pop_ready() == [("key", ["c"])]
         assert sched.pending == 0
 
     def test_overflow_starts_a_fresh_window(self):
         sched = CoalescingScheduler(max_k=16)
         sched.add("key", "a", 10, 0.0)
-        closed = sched.add("key", "b", 10, 0.0)
-        # b would overflow a's window: a closes alone, b keeps waiting
-        assert closed == [("key", ["a"])]
-        assert sched.pending == 1
+        sched.add("key", "b", 10, 0.0)
+        # b would overflow a's window: a leaves alone, b waits behind it
+        assert sched.oldest() == ["a"]
+        assert sched.pop_ready() == [("key", ["a"])]
+        assert sched.pop_ready() == [("key", ["b"])]
+
+    def test_full_window_keeps_its_place(self):
+        sched = CoalescingScheduler(max_k=16)
+        sched.add("k1", "a", 8, 0.0)
+        sched.add("k2", "b", 8, 0.0)
+        sched.add("k1", "c", 8, 0.0)  # k1 is full, and still the oldest
+        sched.add("k1", "d", 8, 0.0)  # a new k1 window, the youngest
+        assert sched.pop_ready(flush_all=True) == [
+            ("k1", ["a", "c"]), ("k2", ["b"]), ("k1", ["d"]),
+        ]
 
     def test_pop_ready_closes_the_oldest_window(self):
         sched = CoalescingScheduler(max_k=64)
         sched.add("k1", "a", 8, 0.0)
-        sched.add("k2", "b", 8, 0.2)
-        sched.add("k1", "c", 8, 0.3)  # joins the older window
+        sched.add("k2", "b", 8, 0.0)
+        sched.add("k1", "c", 8, 0.0)  # joins the older window
         assert sched.oldest() == ["a", "c"]
         assert sched.pop_ready() == [("k1", ["a", "c"])]
         assert sched.pop_ready() == [("k2", ["b"])]
@@ -52,17 +66,17 @@ class TestCoalescingScheduler:
     def test_age_is_set_by_the_first_member(self):
         sched = CoalescingScheduler(max_k=64)
         sched.add("k1", "a", 8, 0.0)
-        sched.add("k2", "b", 8, 0.0)  # same instant: opening order
+        sched.add("k2", "b", 8, 0.0)
         assert sched.pop_ready() == [("k1", ["a"])]
-        sched.add("k1", "c", 8, 0.5)  # a reopened key is young again
-        sched.add("k2", "d", 8, 0.6)  # a late member does not age k2
+        sched.add("k1", "c", 8, 0.0)  # a reopened key is young again
+        sched.add("k2", "d", 8, 0.0)  # a late member does not age k2
         assert sched.pop_ready() == [("k2", ["b", "d"])]
         assert sched.pop_ready() == [("k1", ["c"])]
 
     def test_flush_all_closes_every_window_oldest_first(self):
         sched = CoalescingScheduler(max_k=64)
         sched.add("k2", "a", 8, 0.0)
-        sched.add("k1", "b", 8, 0.1)
+        sched.add("k1", "b", 8, 0.0)
         assert sched.pop_ready(flush_all=True) == [
             ("k2", ["a"]), ("k1", ["b"]),
         ]
@@ -170,7 +184,7 @@ def test_drain_flushes_open_windows(service_factory, held):
         wait_until(lambda n=len(threads): queued(svc) == n)
     held.release_pulls(svc)
     wait_until(lambda: svc._coalescer.pending == 2)
-    # drain must flush the open window, not strand it
+    # the drain dispatches the parked window before it ends, fused
     svc.request_drain()
     held.release_workers(svc)
     for t in threads:

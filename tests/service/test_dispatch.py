@@ -65,9 +65,11 @@ def _timed_submit(socket_path, seed, out=None, barrier=None):
     return resp, elapsed
 
 
-def _submit(socket_path, spec, deadline_s=None, seed=0, out=None):
+def _submit(socket_path, spec, deadline_s=None, seed=0, out=None,
+            lane="interactive"):
     with ServiceClient(socket_path) as client:
-        resp = client.submit(spec, seed=seed, deadline_s=deadline_s)
+        resp = client.submit(spec, seed=seed, deadline_s=deadline_s,
+                             lane=lane)
     if out is not None:
         out[seed] = resp
     return resp
@@ -129,10 +131,25 @@ def test_concurrent_same_matrix_submits_fuse_into_one_window(start, held):
     assert delta("coalesce.matrix_passes") == 1
 
 
-def test_demoted_request_leaves_before_later_windows(start, held,
-                                                     monkeypatch):
+@pytest.mark.parametrize("submits, order", [
     # A demoted request admitted before a run of rung-0 windows is
     # dispatched before all of them: units leave in admission order.
+    ([(SPECS[0], "interactive", 30.0), (SPECS[1], "interactive", None),
+      (SPECS[2], "batch", None)],
+     [(0, 2), (1, 0), (2, 0)]),
+    # A window is weighed against the request lane priority puts next,
+    # not against an older one further back: an older demoted batch
+    # request cannot let later interactive ones jump the window.
+    ([(SPECS[0], "batch", 30.0), (SPECS[1], "interactive", None),
+      (SPECS[2], "interactive", 30.0)],
+     [(1, 0), (2, 2), (0, 2)]),
+], ids=["before-windows", "behind-lane-priority"])
+def test_demoted_request_leaves_before_later_windows(start, held,
+                                                     monkeypatch, submits,
+                                                     order):
+    # Each submit is (spec, lane, deadline_s): a deadline demotes it to
+    # rung 2, none keeps it at rung 0.  ``order`` lists (place in
+    # ``submits``, rung) per planned request, in planning order.
     monkeypatch.setattr(
         server_module.AdmissionController, "choose_rung",
         lambda self, deadline_s, *, backlog: 0 if deadline_s is None else 2,
@@ -148,20 +165,18 @@ def test_demoted_request_leaves_before_later_windows(start, held,
     svc = handle.service
     monkeypatch.setattr(server_module.SpmmService, "_plan_handle", recording)
     held.pulls()
-    submits = [(SPECS[0], 30.0), (SPECS[1], None), (SPECS[2], None)]
     threads = []
-    for n, (spec, deadline) in enumerate(submits, start=1):
+    for n, (spec, lane, deadline) in enumerate(submits, start=1):
         threads.append(threading.Thread(target=_submit, args=(
-            handle.socket_path, spec, deadline)))
+            handle.socket_path, spec, deadline), kwargs={"lane": lane}))
         threads[-1].start()
         wait_until(lambda n=n: queued(svc) == n)
     held.release_pulls(svc)
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive()
-    # planned in admission order, the demoted request first
-    assert [rung for _, rung in planned] == [2, 0, 0]
-    assert planned == sorted(planned)
+    first = min(index for index, _ in planned)
+    assert [(index - first, rung) for index, rung in planned] == order
 
 
 def test_drain_is_prompt(start):
@@ -240,7 +255,7 @@ def test_backlog_accounting_survives_a_submit_storm(service_factory):
     svc = handle.service
     with svc._lock:
         assert svc._queued() == (0, 0)
-        assert not svc._inflight and not svc._closed
+        assert not svc._inflight
         assert svc._coalescer.pending == 0
 
 

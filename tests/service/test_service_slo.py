@@ -62,15 +62,13 @@ def test_sustained_overload_sheds_instead_of_queueing(service_factory):
     # While the storm runs, the backlog must stay inside the admission
     # window: queued <= max_pending, never the offered load (24 submits).
     # Queued means admitted and not yet dispatched, wherever it waits: in
-    # a lane, in an open coalescing window, or in a closed window not yet
-    # handed to the supervisor.
+    # a lane or in a coalescing window not yet handed to the supervisor.
     svc = handle.service
     max_queued = 0
     while any(t.is_alive() for t in threads):
         with svc._lock:
             queued = sum(len(q) for q in svc._lanes.values())
             queued += svc._coalescer.pending
-            queued += sum(len(members) for _, members in svc._closed)
         max_queued = max(max_queued, queued)
         for thread in threads:
             thread.join(timeout=0.01)
