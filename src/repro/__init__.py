@@ -32,8 +32,7 @@ multigpu
 runtime
     Unified planner/executor front door: plans, plan cache, run records.
 resilience
-    Fault injection, detection/recovery, and graceful degradation for the
-    engine path (``python -m repro faults``).
+    Deterministic host-layer fault injectors for the chaos tests.
 """
 
 __version__ = "1.0.0"
@@ -54,14 +53,10 @@ from . import (
 from .errors import (
     ConfigError,
     ConversionError,
-    DeadlineExceededError,
     EngineError,
     FormatError,
     ReproError,
-    RetryExhaustedError,
     SimulationError,
-    StreamIntegrityError,
-    UnitFailedError,
 )
 
 __all__ = [
@@ -82,9 +77,5 @@ __all__ = [
     "ConfigError",
     "SimulationError",
     "EngineError",
-    "StreamIntegrityError",
-    "UnitFailedError",
-    "DeadlineExceededError",
-    "RetryExhaustedError",
     "__version__",
 ]

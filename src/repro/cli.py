@@ -23,8 +23,6 @@ Usage (``python -m repro <command> ...``):
     baseline (see ``docs/PERFORMANCE.md``).
 ``engine``
     Report the near-memory engine's Section 5.3 numbers for a GPU preset.
-``faults``
-    Run a seeded fault-injection campaign and print the resilience report.
 
 Matrices come either from ``--mtx <file>`` or from a generator spec
 ``--generate family:n_rows:n_cols:density[:seed]``, e.g.
@@ -584,39 +582,6 @@ def cmd_engine(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    from .engine.queueing import RetryPolicy
-    from .resilience import CampaignConfig, run_campaign
-
-    m = _load_matrix(args)
-    config = gpu.get_config(args.gpu)
-    campaign = CampaignConfig(
-        seed=args.seed,
-        n_units=args.units,
-        kill=args.kill,
-        stuck=args.stuck,
-        slow=args.slow,
-        slow_factor=args.slow_factor,
-        bit_flips=args.bit_flips,
-        drops=args.drops,
-        integrity=args.integrity,
-        tile_width=args.tile_width,
-        dense_cols=args.k,
-        deadline_us=args.deadline_us,
-        retry=RetryPolicy(
-            max_attempts=args.max_attempts,
-            base_backoff_s=args.backoff_us * 1e-6,
-        ),
-    )
-    report = run_campaign(m, config, campaign)
-    print(report.to_json())
-    v = report.verification
-    if v["silent_wrong_result"]:
-        print("error: silent wrong result — accounting broken", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_collection(args) -> int:
     from .collection import collection_summary, format_report, scan_collection
 
@@ -899,48 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("engine", help="Section 5.3 engine report")
     p.add_argument("--gpu", default="gv100", help="gv100 or tu116")
     p.set_defaults(func=cmd_engine)
-
-    p = sub.add_parser(
-        "faults",
-        help="run a seeded fault-injection campaign and print the "
-        "resilience report as JSON",
-    )
-    _add_matrix_args(p)
-    p.add_argument("--gpu", default="gv100", help="gv100 or tu116")
-    p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    p.add_argument("--units", type=int, default=32, help="conversion units")
-    p.add_argument("--kill", type=int, default=0, help="dead units")
-    p.add_argument("--stuck", type=int, default=0, help="stuck units")
-    p.add_argument("--slow", type=int, default=0, help="slow units")
-    p.add_argument(
-        "--slow-factor", type=float, default=4.0,
-        help="service-time multiplier of slow units",
-    )
-    p.add_argument(
-        "--bit-flips", type=int, default=0,
-        help="bit flips injected into CSC coordinate/pointer streams",
-    )
-    p.add_argument(
-        "--drops", type=int, default=0, help="dropped tile responses"
-    )
-    p.add_argument(
-        "--integrity", choices=("crc", "structural", "off"), default="crc",
-        help="engine-boundary stream checks",
-    )
-    p.add_argument("--k", type=int, default=64, help="dense columns")
-    p.add_argument(
-        "--deadline-us", type=float, default=50.0,
-        help="per-request completion deadline",
-    )
-    p.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="total submissions per tile request",
-    )
-    p.add_argument(
-        "--backoff-us", type=float, default=1.0,
-        help="base retry backoff (doubles per attempt)",
-    )
-    p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser(
         "collection", help="profile a directory of Matrix Market files"

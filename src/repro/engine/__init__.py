@@ -41,17 +41,13 @@ from .placement import (
     fb_switch_overhead,
     placement_loads,
     service_time_s,
-    strip_unit_failover,
     sweep_segment_sizes,
 )
 from .queueing import (
     QueuedRequest,
     QueueReport,
-    ResilientQueueReport,
-    ResilientRequest,
     RetryPolicy,
     simulate_fifo,
-    simulate_fifo_resilient,
     sm_demand_interval_s,
 )
 from .prefetch import (
@@ -102,10 +98,6 @@ __all__ = [
     "QueuedRequest",
     "QueueReport",
     "RetryPolicy",
-    "ResilientRequest",
-    "ResilientQueueReport",
     "simulate_fifo",
-    "simulate_fifo_resilient",
     "sm_demand_interval_s",
-    "strip_unit_failover",
 ]

@@ -17,11 +17,11 @@ only the crossbar sees expanded DCSR).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EngineError, UnitFailedError
+from ..errors import EngineError
 from ..formats.csc import CSCMatrix
 from ..formats.dcsr import DCSRMatrix
 from ..formats.tiled import TiledDCSR, n_strips as count_strips
@@ -39,20 +39,12 @@ from .pipeline import PipelineReport, conversion_time_s, pipeline_report
 
 @dataclass
 class TileRequest:
-    """One ``GetDCSRTile`` call's arguments (Fig. 11).
-
-    ``deadline_s`` and ``attempt`` support the resilience layer: a request
-    that has not completed by its (relative) deadline is retried with
-    backoff, ``attempt`` counting resubmissions of the same tile.  Both
-    default to the fault-free fast path (no deadline, first attempt).
-    """
+    """One ``GetDCSRTile`` call's arguments (Fig. 11)."""
 
     strip_id: int
     row_start: int
     tile_height: int = 64
     requester_sm: int = 0
-    deadline_s: float | None = None
-    attempt: int = 0
 
 
 @dataclass
@@ -83,17 +75,12 @@ class ConversionUnit:
         *,
         tile_width: int = 64,
         fidelity: str = "fast",
-        injector=None,
     ):
         self.partition_id = partition_id
         self.csc = csc
         self.tile_width = tile_width
         #: "fast" (vectorized, the default) or "stepwise" (comparator tree)
         self.fidelity = fidelity
-        #: optional :class:`~repro.resilience.faults.StripFaultInjector`;
-        #: None keeps the fault-free fast path byte-identical to before.
-        self.injector = injector
-        self.alive = True
         self.queue: deque[TileRequest] = deque()
         self.stats = ConversionStats()
         #: strip_id -> fully-converted strip DCSR (random-access fallback)
@@ -101,21 +88,9 @@ class ConversionUnit:
         #: strip_id -> in-flight incremental converter (sequential path)
         self._streamers: dict[int, StreamingStripConverter] = {}
 
-    # ------------------------------------------------------------ resilience
-    def fail(self) -> None:
-        """Mark the unit failed: it drops its queue and rejects requests."""
-        self.alive = False
-        self.queue.clear()
-        self._streamers.clear()
-
     # ----------------------------------------------------------------- queue
     def submit(self, request: TileRequest) -> None:
         """Enqueue a request (processed in arrival order, Section 4)."""
-        if not self.alive:
-            raise UnitFailedError(
-                f"conversion unit {self.partition_id} is marked failed",
-                unit_id=self.partition_id,
-            )
         total = count_strips(self.csc.n_cols, self.tile_width)
         if not 0 <= request.strip_id < total:
             raise EngineError(f"strip {request.strip_id} out of range")
@@ -133,11 +108,6 @@ class ConversionUnit:
         strip's frontier) falls back to converting the whole strip once
         and slicing, matching the software-managed alternative.
         """
-        if not self.alive:
-            raise UnitFailedError(
-                f"conversion unit {self.partition_id} is marked failed",
-                unit_id=self.partition_id,
-            )
         if not self.queue:
             raise EngineError("no queued requests")
         req = self.queue.popleft()
@@ -190,20 +160,10 @@ class ConversionUnit:
 
     # ------------------------------------------------------------ conversion
     def _strip_arrays(self, strip_id: int):
-        """Read one strip's CSC stream, applying fault injection/checks.
-
-        With no injector this is exactly the old direct ``strip_slice``
-        read; with one, stream faults corrupt the beat stream here and the
-        integrity check runs at this engine boundary (raising
-        :class:`~repro.errors.StreamIntegrityError` on detection).
-        """
+        """Read one strip's CSC stream from this unit's partition."""
         start = strip_id * self.tile_width
         end = min(start + self.tile_width, self.csc.n_cols)
-        ptr, rows, vals = self.csc.strip_slice(start, end)
-        if self.injector is not None:
-            ptr, rows, vals = self.injector.transform(strip_id, ptr, rows, vals)
-            self.injector.verify(strip_id, ptr, rows, vals, self.csc.n_rows)
-        return ptr, rows, vals
+        return self.csc.strip_slice(start, end)
 
     def _make_streamer(self, strip_id: int) -> StreamingStripConverter:
         ptr, rows, vals = self._strip_arrays(strip_id)

@@ -96,26 +96,6 @@ def placement_loads(
     )
 
 
-def strip_unit_failover(
-    strip_id: int, n_units: int, dead_units=()
-) -> int:
-    """Home unit for a strip, skipping dead units deterministically.
-
-    The healthy mapping is the naive ``strip mod P``; when that partition's
-    unit is dead the strip walks forward to the next surviving unit.  With
-    no dead units this is exactly ``strip_partition_naive``.
-    """
-    if n_units <= 0:
-        raise ConfigError("n_units must be positive")
-    dead = frozenset(dead_units)
-    if len(dead) >= n_units:
-        raise ConfigError("all conversion units are dead — no failover target")
-    unit = strip_id % n_units
-    while unit in dead:
-        unit = (unit + 1) % n_units
-    return unit
-
-
 def service_time_s(result: PlacementResult, config: GPUConfig) -> float:
     """Critical-path DRAM time of a placement (camping model)."""
     mem = MemorySystem(config)

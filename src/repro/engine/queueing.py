@@ -125,190 +125,29 @@ def simulate_fifo(
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Deadline/retry/backoff parameters for tile requests.
+    """Bounded exponential backoff.
 
-    A request that times out (its response dropped, or its unit stuck) is
-    resubmitted after an exponentially growing backoff:
-    ``backoff(a) = base_backoff_s * multiplier**a`` for attempt ``a`` (the
-    first resubmission is attempt 1).  ``max_attempts`` counts total
-    submissions, so ``max_attempts=3`` allows two retries before the
-    request fails with :class:`~repro.errors.RetryExhaustedError`.
+    Resubmission number ``a`` (1-based) waits
+    ``backoff_s(a) = base_backoff_s * multiplier**(a - 1)``, and
+    ``max_attempts`` counts total submissions.  The service's admission
+    controller sizes its Retry-After hints with it.
     """
 
     max_attempts: int = 3
     base_backoff_s: float = 1e-6
     multiplier: float = 2.0
-    #: how long a requester waits for a lost response before resubmitting
-    timeout_s: float = 5e-6
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
-        if self.base_backoff_s < 0 or self.timeout_s < 0:
-            raise ConfigError("backoff/timeout must be non-negative")
+        if self.base_backoff_s < 0:
+            raise ConfigError("base_backoff_s must be non-negative")
         if self.multiplier < 1.0:
             raise ConfigError("multiplier must be >= 1.0")
 
     def backoff_s(self, attempt: int) -> float:
         """Backoff before resubmission number ``attempt`` (1-based)."""
         return self.base_backoff_s * self.multiplier ** max(attempt - 1, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_backoff_s": self.base_backoff_s,
-            "multiplier": self.multiplier,
-            "timeout_s": self.timeout_s,
-        }
-
-
-@dataclass(frozen=True)
-class ResilientRequest:
-    """One tile request's fate across all its attempts."""
-
-    arrival_s: float
-    service_s: float
-    attempts: int
-    completion_s: float  # inf if every attempt failed
-    dropped_attempts: int
-    deadline_s: float  # inf if no deadline
-    completed: bool
-
-    @property
-    def latency_s(self) -> float:
-        return self.completion_s - self.arrival_s
-
-    @property
-    def missed_deadline(self) -> bool:
-        return self.completed and self.latency_s > self.deadline_s
-
-
-@dataclass(frozen=True)
-class ResilientQueueReport:
-    """Aggregate of one unit's request stream under faults and retries."""
-
-    requests: tuple
-    utilization: float
-
-    @property
-    def retries(self) -> int:
-        return sum(r.attempts - 1 for r in self.requests)
-
-    @property
-    def deadline_misses(self) -> int:
-        return sum(1 for r in self.requests if r.missed_deadline)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for r in self.requests if not r.completed)
-
-    @property
-    def dropped_responses(self) -> int:
-        return sum(r.dropped_attempts for r in self.requests)
-
-    @property
-    def makespan_s(self) -> float:
-        done = [r.completion_s for r in self.requests if r.completed]
-        return max(done) if done else 0.0
-
-    @property
-    def mean_wait_s(self) -> float:
-        done = [
-            max(0.0, r.latency_s - r.service_s * r.attempts)
-            for r in self.requests
-            if r.completed
-        ]
-        return float(np.mean(done)) if done else 0.0
-
-    @property
-    def mean_latency_s(self) -> float:
-        done = [r.latency_s for r in self.requests if r.completed]
-        return float(np.mean(done)) if done else 0.0
-
-
-def simulate_fifo_resilient(
-    arrivals_s,
-    service_steps,
-    report: PipelineReport,
-    *,
-    retry: RetryPolicy | None = None,
-    deadline_s: float = np.inf,
-    slowdown: float = 1.0,
-    drop_attempt=None,
-    unit_available: bool = True,
-) -> ResilientQueueReport:
-    """FIFO simulation with dropped responses, timeouts, and retries.
-
-    Extends :func:`simulate_fifo` with the failure modes the resilience
-    layer injects: ``drop_attempt(request_index, attempt)`` returns True
-    when that attempt's response is lost (the unit does the work, the
-    requester times out and resubmits after backoff); ``slowdown``
-    stretches every service time (a thermally-throttled unit); and
-    ``unit_available=False`` models a stuck unit — no attempt ever
-    completes, every request fails after ``max_attempts`` timeouts.
-
-    Requests still complete in FIFO order of their (re)submission times.
-    With no faults (``drop_attempt=None``, ``slowdown=1``, available) the
-    per-request timing is identical to :func:`simulate_fifo`.
-    """
-    retry = retry or RetryPolicy()
-    arr = np.asarray(arrivals_s, dtype=np.float64)
-    steps = np.asarray(service_steps, dtype=np.float64)
-    if arr.size != steps.size:
-        raise ConfigError("arrivals and service lengths differ")
-    if arr.size and (arr.min() < 0 or steps.min() < 0):
-        raise ConfigError("arrivals and steps must be non-negative")
-    if slowdown < 1.0:
-        raise ConfigError("slowdown must be >= 1.0")
-    cycle = report.cycle_time_ns * 1e-9
-    service = (steps + report.n_stages) * cycle * slowdown
-
-    # (submit_time, request_index, attempt) processed in submit order.
-    pending = [(float(a), i, 0) for i, a in enumerate(arr)]
-    completion = np.full(arr.size, np.inf)
-    attempts = np.zeros(arr.size, dtype=np.int64)
-    drops = np.zeros(arr.size, dtype=np.int64)
-    busy = 0.0
-    free_at = 0.0
-    while pending:
-        pending.sort(key=lambda t: (t[0], t[1]))
-        submit, idx, attempt = pending.pop(0)
-        attempts[idx] = attempt + 1
-        if not unit_available:
-            # The unit never answers: the requester times out.
-            if attempts[idx] < retry.max_attempts:
-                resubmit = submit + retry.timeout_s + retry.backoff_s(attempt + 1)
-                pending.append((resubmit, idx, attempt + 1))
-            continue
-        start = max(submit, free_at)
-        complete = start + service[idx]
-        free_at = complete
-        busy += service[idx]
-        if drop_attempt is not None and drop_attempt(idx, attempt):
-            drops[idx] += 1
-            if attempts[idx] < retry.max_attempts:
-                resubmit = complete + retry.timeout_s + retry.backoff_s(attempt + 1)
-                pending.append((resubmit, idx, attempt + 1))
-        else:
-            completion[idx] = complete
-
-    requests = [
-        ResilientRequest(
-            arrival_s=float(arr[i]),
-            service_s=float(service[i]),
-            attempts=int(attempts[i]),
-            completion_s=float(completion[i]),
-            dropped_attempts=int(drops[i]),
-            deadline_s=float(deadline_s),
-            completed=bool(np.isfinite(completion[i])),
-        )
-        for i in range(arr.size)
-    ]
-    makespan = max((r.completion_s for r in requests if r.completed), default=0.0)
-    return ResilientQueueReport(
-        requests=tuple(requests),
-        utilization=busy / makespan if makespan > 0 else 0.0,
-    )
 
 
 def sm_demand_interval_s(

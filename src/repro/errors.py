@@ -45,32 +45,6 @@ class EngineError(SimulationError):
     """The near-memory conversion engine model detected an invalid state."""
 
 
-class StreamIntegrityError(FormatError):
-    """A CSC beat stream failed an integrity check at the engine boundary.
-
-    Raised when a strip's ``(col_ptr, row_idx, values)`` stream read from a
-    FB partition fails either its CRC (bit corruption in flight) or the
-    structural invariants the conversion engine relies on (monotone
-    pointers, in-range and column-sorted row coordinates).
-    """
-
-
-class UnitFailedError(EngineError):
-    """A tile request was routed to a conversion unit marked failed."""
-
-    def __init__(self, message: str, *, unit_id: int | None = None):
-        super().__init__(message)
-        self.unit_id = unit_id
-
-
-class DeadlineExceededError(EngineError):
-    """A tile request's completion missed its deadline."""
-
-
-class RetryExhaustedError(EngineError):
-    """A tile request failed every attempt its retry policy allowed."""
-
-
 class SupervisionError(ReproError):
     """The supervised batch executor aborted instead of degrading.
 

@@ -20,7 +20,7 @@ from .convert import (
 from .coo import COOMatrix
 from .csc import CSCMatrix
 from .csr import CSRMatrix
-from .dcsc import DCSCMatrix, choose_compressed_axis
+from .dcsc import DCSCMatrix
 from .dcsr import DCSRMatrix
 from .ell import ELLMatrix
 from .mmio import read_matrix_market, write_matrix_market
@@ -42,7 +42,6 @@ __all__ = [
     "DCSRMatrix",
     "DCSCMatrix",
     "ELLMatrix",
-    "choose_compressed_axis",
     "TiledCSR",
     "TiledDCSR",
     "StripInfo",

@@ -138,11 +138,3 @@ class DCSCMatrix(SparseMatrix):
             self.values,
         )
 
-
-def choose_compressed_axis(n_rows: int, n_cols: int) -> str:
-    """Section 4.1's storage rule: CSC (engine emits DCSR) for square/tall
-    matrices, CSR (engine emits DCSC) when the matrix is wide enough that
-    ``col_ptr`` would dominate the footprint."""
-    if n_rows <= 0 or n_cols <= 0:
-        raise FormatError("dimensions must be positive")
-    return "csr" if n_cols > 2 * n_rows else "csc"

@@ -8,7 +8,7 @@ from .counters import (
     StallBreakdown,
     TrafficCounters,
 )
-from .memory import MemorySystem, strip_partition_naive, tile_partition_split
+from .memory import MemorySystem, strip_partition_naive
 from .sm import (
     dcsr_tile_overhead,
     inactive_reduction,
@@ -45,7 +45,6 @@ __all__ = [
     "dense_reuse_fraction",
     "MemorySystem",
     "strip_partition_naive",
-    "tile_partition_split",
     "row_per_warp_activity",
     "row_per_thread_activity",
     "dcsr_tile_overhead",

@@ -85,13 +85,3 @@ def strip_partition_naive(strip_id: int, n_partitions: int) -> int:
         raise ConfigError("n_partitions must be positive")
     return strip_id % n_partitions
 
-
-def tile_partition_split(
-    strip_id: int, tile_row: int, n_partitions: int
-) -> int:
-    """Fig. 17 (right): tiles of a strip round-robin across partitions,
-    with a per-strip rotation so concurrent SMs on different strips start
-    on different partitions."""
-    if n_partitions <= 0:
-        raise ConfigError("n_partitions must be positive")
-    return (strip_id + tile_row) % n_partitions

@@ -13,11 +13,8 @@ from .common import (
 from .csr_spmm import csr_spmm
 from .dcsr_spmm import dcsr_spmm
 from .hybrid import (
-    DEGRADATION_LADDER,
     SSF_TH_DEFAULT,
-    EngineHealth,
     VariantRun,
-    degraded_spmm,
     hybrid_spmm,
     oracle_choice,
     run_all_variants,
@@ -57,10 +54,7 @@ __all__ = [
     "TraversalEffects",
     "traversal_effects",
     "SSF_TH_DEFAULT",
-    "DEGRADATION_LADDER",
-    "EngineHealth",
     "VariantRun",
-    "degraded_spmm",
     "hybrid_spmm",
     "run_all_variants",
     "run_c_stationary_best",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..formats.convert import FormatStore
 from ..gpu.config import GPUConfig
 from ..gpu.counters import KernelResult
@@ -192,91 +191,6 @@ def run_all_variants(
         ),
     }
     return out
-
-
-#: Graceful-degradation ladder, most- to least-capable (Section 5.3 made
-#: failure-aware): engine-converted online tiles, then the offline tiled
-#: path the paper also evaluates, then untiled CSR merge-style SpMM.
-DEGRADATION_LADDER = ("online_tiled_dcsr", "offline_tiled_dcsr", "untiled_csr")
-
-
-@dataclass(frozen=True)
-class EngineHealth:
-    """Aggregate conversion-engine capacity after faults.
-
-    ``n_failed`` counts units that cannot complete requests (dead or
-    stuck); ``mean_slowdown`` is the average service-time multiplier of
-    the *surviving* units (1.0 = full speed).
-    """
-
-    n_units: int
-    n_failed: int = 0
-    mean_slowdown: float = 1.0
-
-    def __post_init__(self):
-        if self.n_units <= 0:
-            raise ConfigError("n_units must be positive")
-        if not 0 <= self.n_failed <= self.n_units:
-            raise ConfigError("n_failed outside [0, n_units]")
-        if self.mean_slowdown < 1.0:
-            raise ConfigError("mean_slowdown must be >= 1.0")
-
-    @property
-    def capacity(self) -> float:
-        """Surviving conversion throughput as a fraction of design (0..1)."""
-        alive = self.n_units - self.n_failed
-        return (alive / self.n_units) / self.mean_slowdown
-
-    def to_dict(self) -> dict:
-        return {
-            "n_units": self.n_units,
-            "n_failed": self.n_failed,
-            "mean_slowdown": float(self.mean_slowdown),
-            "capacity": float(self.capacity),
-        }
-
-
-def degraded_spmm(
-    matrix,
-    dense,
-    config: GPUConfig,
-    *,
-    health: EngineHealth,
-    ssf_threshold: float = SSF_TH_DEFAULT,
-    tile_width: int = 64,
-    offline_available: bool = True,
-) -> VariantRun:
-    """Hybrid SpMM that walks the degradation ladder under engine faults.
-
-    The online rung stays chosen while the degraded engine still hides
-    conversion under the kernel (Section 5.3's criterion with conversion
-    time scaled by ``1 / capacity``); otherwise the policy falls back to
-    offline tiled DCSR (when a pre-converted copy exists) and finally to
-    untiled CSR.  The decision, the capacity it saw, and each considered
-    rung's modeled cost are reported in ``result.extras["degradation"]``.
-    """
-    from ..runtime import SpmmRuntime
-    from ..runtime.plan import Capabilities, SpmmRequest
-
-    runtime = SpmmRuntime(config, ssf_threshold=ssf_threshold)
-    request = SpmmRequest(matrix, dense=dense, tile_width=tile_width)
-    capabilities = Capabilities.from_health(health, offline_available=offline_available)
-    outcome = runtime.run(request, capabilities=capabilities, enforce_ladder=True)
-    execution = outcome.execution
-    run = execution.run
-    path = (
-        "c_stationary"
-        if execution.plan.algorithm == "c_stationary_best"
-        else run.name
-    )
-    run.result.extras["degradation"] = {
-        "path": path,
-        "reason": execution.reason,
-        "engine": health.to_dict(),
-        "ladder_costs_s": execution.ladder_costs_s,
-        "degraded": bool(execution.degraded),
-    }
-    return run
 
 
 def oracle_choice(variants: dict[str, VariantRun]) -> VariantRun:

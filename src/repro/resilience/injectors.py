@@ -1,9 +1,8 @@
 """Deterministic host-layer fault injectors: corruption and exhaustion.
 
-:mod:`repro.resilience.faults` injects faults into the *engine model's*
-beat streams; this module injects the host-layer analogues the integrity
-plane must survive — damaged shared-memory operand segments, torn or
-truncated spill files, and a filesystem that starts failing writes — all
+This module injects the host-layer faults the integrity plane must
+survive — damaged shared-memory operand segments, torn or truncated
+spill files, and a filesystem that starts failing writes — all
 deterministic (no randomness) so chaos tests and ``tools/chaos_smoke.py``
 reproduce bit-for-bit.
 

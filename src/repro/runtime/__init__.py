@@ -5,14 +5,14 @@ This package separates the paper's *decision* from its *execution*:
 - :class:`Planner` profiles the matrix (SSF, Eq. 2), predicts Table 1
   traffic, and emits an immutable, serializable :class:`SpmmPlan`;
 - :class:`Executor` materializes the plan against the simulated kernels
-  and — under the degradation ladder — demotes by re-planning with
-  constrained :class:`Capabilities`;
+  (a degraded rung is a plan made under constrained
+  :class:`Capabilities`);
 - :class:`PlanCache` memoizes plans *and* their format/engine conversions
   per (matrix fingerprint × dense width × GPU config);
 - :class:`RunRecord` is the JSON-serializable trace of one executed plan.
 
-:class:`SpmmRuntime` is the facade the CLI, hybrid kernels, and
-resilience campaigns all route through.
+:class:`SpmmRuntime` is the facade the CLI, hybrid kernels, batch
+executor and service all route through.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ class SpmmRuntime:
     ):
         self.config = config
         self.planner = Planner(config, ssf_threshold)
-        self.executor = Executor(config, planner=self.planner)
+        self.executor = Executor(config)
         self.cache = cache if cache is not None else PlanCache()
         #: telemetry sink for every run; NULL_TRACER = disabled, zero cost
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -251,7 +251,6 @@ class SpmmRuntime:
                 request.matrix,
                 dense,
                 store=store,
-                request=request,
                 enforce_ladder=enforce_ladder,
                 tracer=tracer,
             )
@@ -275,25 +274,6 @@ class SpmmRuntime:
             execution=execution,
             plan=execution.plan,
             cache_hit=cache_hit,
-        )
-
-    def degraded_run(
-        self,
-        request: SpmmRequest,
-        health,
-        *,
-        offline_available: bool = True,
-        tracer=None,
-    ) -> RunOutcome:
-        """Run under engine faults: re-plan with constrained capabilities."""
-        capabilities = Capabilities.from_health(
-            health, offline_available=offline_available
-        )
-        return self.run(
-            request,
-            capabilities=capabilities,
-            enforce_ladder=True,
-            tracer=tracer,
         )
 
     def run_all_variants(self, request: SpmmRequest, *, tracer=None) -> dict:

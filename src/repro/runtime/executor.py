@@ -2,10 +2,10 @@
 
 The executor owns no policy.  It materializes the formats a plan names
 (through a memoizing :class:`~repro.formats.convert.FormatStore`, so cache
-hits reuse conversions), dispatches to the simulated kernels,
-and — when asked to enforce the degradation ladder — demotes an online
-plan whose conversion the degraded engine can no longer hide by asking the
-planner to re-plan with online ruled out (Section 5.3 made failure-aware).
+hits reuse conversions) and dispatches to the simulated kernels.  The
+planner picks the degradation-ladder rung from the request's
+:class:`~repro.runtime.plan.Capabilities`; when asked to enforce the
+ladder, the executor records why that rung ran and what it cost.
 
 Every entry point takes ``tracer=NULL_TRACER``: with a real tracer the
 dispatch runs inside an ``execute`` span whose children are the format
@@ -40,22 +40,27 @@ class ExecutionResult:
 
     #: the :class:`~repro.kernels.hybrid.VariantRun` that was executed
     run: object
-    #: the plan actually executed (demotion may differ from requested)
+    #: the plan that was executed
     plan: SpmmPlan
-    #: the plan the caller asked for
-    requested_plan: SpmmPlan
-    #: modeled cost of every ladder rung considered, seconds
+    #: modeled cost of the fallback rung that ran, seconds
     ladder_costs_s: dict = field(default_factory=dict)
     degraded: bool = False
     reason: str = ""
 
 
+#: the reason each rung reports when the ladder is enforced
+_LADDER_REASONS = {
+    "c_stationary_best": REASON_SSF_BELOW,
+    "offline_tiled_dcsr": REASON_OFFLINE_FALLBACK,
+    "untiled_csr": REASON_BOTTOM_RUNG,
+}
+
+
 class Executor:
     """Executes plans on the simulated GPU; pairs with a :class:`Planner`."""
 
-    def __init__(self, config: GPUConfig, planner=None):
+    def __init__(self, config: GPUConfig):
         self.config = config
-        self.planner = planner
 
     # ------------------------------------------------------------- dispatch
     def execute(
@@ -65,17 +70,14 @@ class Executor:
         dense: np.ndarray,
         *,
         store: FormatStore | None = None,
-        request=None,
         enforce_ladder: bool = False,
         tracer=NULL_TRACER,
     ) -> ExecutionResult:
         """Run ``plan`` over ``(matrix, dense)``.
 
-        ``enforce_ladder`` turns on the degradation discipline: the online
-        rung is kept only while the (possibly degraded) engine still hides
-        conversion under the kernel, otherwise execution re-plans with
-        constrained capabilities and walks down.  ``request`` is needed for
-        that re-planning step.
+        ``enforce_ladder`` marks a run on a demoted service rung: the
+        result carries the rung's reason, and a fallback rung its modeled
+        cost in ``ladder_costs_s``.
         """
         with tracer.span("execute", algorithm=plan.algorithm) as span:
             result = self._dispatch(
@@ -83,7 +85,6 @@ class Executor:
                 matrix,
                 dense,
                 store=store,
-                request=request,
                 enforce_ladder=enforce_ladder,
                 tracer=tracer,
             )
@@ -109,7 +110,6 @@ class Executor:
         dense: np.ndarray,
         *,
         store: FormatStore | None,
-        request,
         enforce_ladder: bool,
         tracer,
     ) -> ExecutionResult:
@@ -122,19 +122,9 @@ class Executor:
 
         if store is None:
             store = FormatStore(matrix)
-        ladder: dict[str, float] = {}
-
         if plan.algorithm == "c_stationary_best":
             run = run_c_stationary_best(
                 matrix, dense, self.config, store=store, tracer=tracer
-            )
-            result = ExecutionResult(
-                run=run,
-                plan=plan,
-                requested_plan=plan,
-                ladder_costs_s=ladder,
-                degraded=False,
-                reason=REASON_SSF_BELOW if enforce_ladder else "",
             )
         elif plan.algorithm == "online_tiled_dcsr":
             run = run_online_tiled(
@@ -145,35 +135,6 @@ class Executor:
                 store=store,
                 tracer=tracer,
             )
-            capacity = plan.capabilities.engine_capacity
-            if enforce_ladder:
-                conv_s = run.result.extras["conversion"]["conversion_time_s"]
-                degraded_conv_s = conv_s / capacity
-                # Conversion the surviving units cannot hide is exposed time.
-                ladder["online_tiled_dcsr"] = run.time_s + max(
-                    0.0, degraded_conv_s - run.time_s
-                )
-                if tracer.enabled:
-                    tracer.metrics.gauge("engine.capacity").set(capacity)
-                    tracer.metrics.gauge("engine.exposed_conversion_s").set(
-                        max(0.0, degraded_conv_s - run.time_s)
-                    )
-                if degraded_conv_s > run.time_s:
-                    return self._demote(
-                        plan, matrix, dense, store, request, ladder,
-                        tracer=tracer,
-                    )
-                reason = f"conversion still hidden at {capacity:.2f} capacity"
-            else:
-                reason = ""
-            result = ExecutionResult(
-                run=run,
-                plan=plan,
-                requested_plan=plan,
-                ladder_costs_s=ladder,
-                degraded=False,
-                reason=reason,
-            )
         elif plan.algorithm == "offline_tiled_dcsr":
             run = run_offline_tiled(
                 matrix,
@@ -183,65 +144,25 @@ class Executor:
                 store=store,
                 tracer=tracer,
             )
-            if enforce_ladder:
-                ladder["offline_tiled_dcsr"] = run.time_s
-            result = ExecutionResult(
-                run=run,
-                plan=plan,
-                requested_plan=plan,
-                ladder_costs_s=ladder,
-                degraded=bool(plan.provenance.get("degraded")),
-                reason=REASON_OFFLINE_FALLBACK if enforce_ladder else "",
-            )
         elif plan.algorithm == "untiled_csr":
             run = self._run_untiled_csr(matrix, dense, store, tracer=tracer)
-            if enforce_ladder:
-                ladder["untiled_csr"] = run.time_s
-            result = ExecutionResult(
-                run=run,
-                plan=plan,
-                requested_plan=plan,
-                ladder_costs_s=ladder,
-                degraded=bool(plan.provenance.get("degraded")),
-                reason=REASON_BOTTOM_RUNG if enforce_ladder else "",
-            )
         else:  # pragma: no cover — SpmmPlan validates algorithm
             raise ConfigError(f"unknown plan algorithm {plan.algorithm!r}")
 
+        ladder: dict[str, float] = {}
+        reason = ""
+        if enforce_ladder:
+            reason = _LADDER_REASONS.get(plan.algorithm, "")
+            if plan.algorithm in ("offline_tiled_dcsr", "untiled_csr"):
+                ladder[plan.algorithm] = run.time_s
+        result = ExecutionResult(
+            run=run,
+            plan=plan,
+            ladder_costs_s=ladder,
+            degraded=bool(plan.provenance.get("degraded")),
+            reason=reason,
+        )
         self._stamp_provenance(result)
-        return result
-
-    # ------------------------------------------------------------ demotion
-    def _demote(
-        self, plan, matrix, dense, store, request, ladder, *, tracer=NULL_TRACER
-    ) -> ExecutionResult:
-        """Online conversion no longer hidden: re-plan one rung down."""
-        if self.planner is None or request is None:
-            raise ConfigError(
-                "ladder demotion needs a planner and the original request"
-            )
-        with tracer.span("demote", from_algorithm=plan.algorithm) as span:
-            demoted_plan = self.planner.plan(
-                request, plan.capabilities.without_online(), tracer=tracer
-            )
-            if span.enabled:
-                span.set_attribute("to_algorithm", demoted_plan.algorithm)
-                tracer.metrics.counter("ladder.demotions").inc()
-            result = self.execute(
-                demoted_plan,
-                matrix,
-                dense,
-                store=store,
-                request=request,
-                enforce_ladder=True,
-                tracer=tracer,
-            )
-        # The online rung was considered first; keep its modeled cost.
-        merged = dict(ladder)
-        merged.update(result.ladder_costs_s)
-        result.ladder_costs_s = merged
-        result.requested_plan = plan
-        result.degraded = True
         return result
 
     def _run_untiled_csr(

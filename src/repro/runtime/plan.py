@@ -82,12 +82,13 @@ class SpmmRequest:
 class Capabilities:
     """What the execution substrate can still do — the planner's constraint.
 
-    Degradation is *re-planning with constrained capabilities*: the
-    resilience layer maps surviving engine capacity onto this record and
-    asks the planner again, instead of patching the executed path ad hoc.
+    Degradation is *planning with constrained capabilities*: the service's
+    lower ladder rungs rule out the online engine (and the offline copy)
+    here, instead of patching the executed path ad hoc.
     """
 
-    #: surviving conversion-engine throughput, fraction of design (0..1)
+    #: conversion-engine throughput, fraction of design (0..1); 0 rules
+    #: the online engine out
     engine_capacity: float = 1.0
     #: a pre-converted offline tiled-DCSR copy exists to fall back on
     offline_tiled_available: bool = True
@@ -97,14 +98,6 @@ class Capabilities:
     def __post_init__(self):
         if not 0.0 <= self.engine_capacity <= 1.0:
             raise ConfigError("engine_capacity must be in [0, 1]")
-
-    @classmethod
-    def from_health(cls, health, *, offline_available: bool = True) -> "Capabilities":
-        """Constrain capabilities by an :class:`~repro.kernels.hybrid.EngineHealth`."""
-        return cls(
-            engine_capacity=float(health.capacity),
-            offline_tiled_available=bool(offline_available),
-        )
 
     def without_online(self) -> "Capabilities":
         """The next rung down: online conversion ruled out."""

@@ -24,8 +24,8 @@ backoff, failover), applied to real ``multiprocessing.Process`` workers:
   ahead of the workers, so a 10k-request batch holds a bounded window of
   planned handles rather than the whole corpus;
 * **chaos seam** — :class:`ChaosFault` injects kills, hangs, and poison
-  requests *inside* workers deterministically, the same philosophy as the
-  PR 1 engine fault campaigns, driving ``tests/runtime/test_chaos.py``.
+  requests *inside* workers deterministically, driving
+  ``tests/runtime/test_chaos.py``.
 
 The supervisor is task-agnostic: it runs any picklable module-level
 ``task_fn(task_ctx, item) -> payload`` over ``(index, item)`` pairs.  The

@@ -63,9 +63,7 @@ class AdmissionConfig:
     ewma_alpha: float = 0.2
     #: backoff schedule behind Retry-After for repeat offenders
     retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=8, base_backoff_s=0.05, timeout_s=0.05
-        )
+        default_factory=lambda: RetryPolicy(max_attempts=8, base_backoff_s=0.05)
     )
 
     def __post_init__(self):

@@ -48,9 +48,8 @@ def native_contiguous(arr: np.ndarray) -> np.ndarray:
 def array_crc32(arr: np.ndarray) -> int:
     """CRC32 of an array's native-contiguous bytes (the integrity stamp).
 
-    The same checksum the engine boundary uses for beat streams
-    (:func:`repro.resilience.faults.stream_crc`), applied per backing
-    array at publish/spill time and re-checked on first attach/reload.
+    Applied per backing array at publish/spill time and re-checked on
+    first attach/reload.
     Computed over the raw buffer (no copy for contiguous arrays), so
     verification cost is one linear pass.
     """

@@ -5,7 +5,7 @@ metrics answer *how often* and *how much*.  The registry is deliberately
 tiny — three instrument kinds, no labels, no time series — because every
 number the paper reports (plan-cache hit ratio, conversion steps per
 strip, retry counts, stall seconds) is a scalar aggregate over one run or
-one campaign.
+one batch.
 
 All instruments are memoized by name: ``registry.counter("x")`` returns
 the same :class:`Counter` on every call, so call sites never need to hold

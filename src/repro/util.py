@@ -131,7 +131,7 @@ def human_bytes(n: float) -> str:
 def to_plain(obj):
     """Recursively coerce numpy scalars/arrays (and tuples) to plain Python.
 
-    The canonical-JSON path (run records, campaign reports) must not depend
+    The canonical-JSON path (run records, journal lines) must not depend
     on which numeric library produced a value, so everything JSON touches
     funnels through here first.
     """

@@ -11,11 +11,7 @@ conversion keeps ahead of SM demand.
 import numpy as np
 import pytest
 
-from repro.engine import (
-    pipeline_report,
-    simulate_fifo,
-    simulate_fifo_resilient,
-)
+from repro.engine import pipeline_report, simulate_fifo
 from repro.gpu import GV100
 
 N = 100
@@ -70,15 +66,3 @@ class TestOverloadGrowth:
         q = simulate_fifo(arrivals, [STEPS] * N, rep)
         assert q.mean_wait_s == 0.0
         assert q.max_queue_depth == 1
-
-    def test_slow_unit_pushes_queue_past_saturation(self, rep):
-        """A stream that is stable on a healthy unit overloads a unit
-        degraded to 1/4 speed — the resilience motivation for rerouting."""
-        arrivals = np.arange(N) * (_service_s(rep) * 2)
-        steps = [STEPS] * N
-        healthy = simulate_fifo_resilient(arrivals, steps, rep)
-        slow = simulate_fifo_resilient(arrivals, steps, rep, slowdown=4.0)
-        assert healthy.mean_wait_s == pytest.approx(0.0, abs=1e-12)
-        assert slow.mean_wait_s > 1e-9
-        waits = np.array([r.latency_s - r.service_s for r in slow.requests])
-        assert np.all(np.diff(waits) > 0)

@@ -1,4 +1,4 @@
-"""Unit tests for the DCSC container and the wide-matrix storage rule."""
+"""Unit tests for the DCSC container and the wide-matrix footprint claim."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.formats import (
     CSRMatrix,
     DCSCMatrix,
     DCSRMatrix,
-    choose_compressed_axis,
     to_format,
 )
 
@@ -81,21 +80,9 @@ class TestInvariants:
 
 
 class TestAxisChoice:
-    def test_square_prefers_csc(self):
-        assert choose_compressed_axis(1000, 1000) == "csc"
-
-    def test_tall_prefers_csc(self):
-        assert choose_compressed_axis(4000, 500) == "csc"
-
     def test_wide_prefers_csr(self):
         """Section 4.1: CSC becomes larger when the matrix is wide."""
-        assert choose_compressed_axis(500, 4000) == "csr"
-        # And indeed the footprints agree with the rule:
         dense = random_dense((64, 512), 0.02, seed=3)
         csr = CSRMatrix.from_dense(dense)
         csc = CSCMatrix.from_dense(dense)
         assert csr.footprint_bytes() < csc.footprint_bytes()
-
-    def test_bad_dims(self):
-        with pytest.raises(FormatError):
-            choose_compressed_axis(0, 5)

@@ -11,7 +11,6 @@ from repro.gpu import (
     CrossbarModel,
     MemorySystem,
     strip_partition_naive,
-    tile_partition_split,
 )
 
 
@@ -80,18 +79,9 @@ class TestPlacementPolicies:
         assert strip_partition_naive(5, 4) == 1
         # every tile of strip 5 would hit partition 1
 
-    def test_split_rotates_within_strip(self):
-        parts = {tile_partition_split(5, t, 4) for t in range(4)}
-        assert parts == {0, 1, 2, 3}
-
-    def test_split_offsets_by_strip(self):
-        assert tile_partition_split(0, 0, 4) != tile_partition_split(1, 0, 4)
-
     def test_bad_partition_count(self):
         with pytest.raises(ConfigError):
             strip_partition_naive(0, 0)
-        with pytest.raises(ConfigError):
-            tile_partition_split(0, 0, 0)
 
 
 class TestCrossbar:

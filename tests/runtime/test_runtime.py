@@ -189,31 +189,3 @@ class TestRunRecord:
         r1 = SpmmRuntime(GV100).run(req).record
         r2 = SpmmRuntime(GV100).run(explicit).record
         assert r1.to_json() == r2.to_json()
-
-
-class TestDegradedRuns:
-    def test_full_health_stays_online(self, skewed):
-        from repro.kernels import EngineHealth
-
-        runtime = SpmmRuntime(GV100)
-        outcome = runtime.degraded_run(
-            SpmmRequest(skewed, k=32), EngineHealth(n_units=32)
-        )
-        assert outcome.execution.run.name == "online_tiled_dcsr"
-        assert outcome.record.degraded is False
-        assert "online_tiled_dcsr" in outcome.record.ladder_costs_s
-
-    def test_dead_engine_demotes_and_records_reason(self, skewed):
-        from repro.kernels import EngineHealth
-
-        runtime = SpmmRuntime(GV100)
-        outcome = runtime.degraded_run(
-            SpmmRequest(skewed, k=32), EngineHealth(n_units=32, n_failed=32)
-        )
-        record = outcome.record
-        assert record.variant == "offline_tiled_dcsr"
-        assert record.degraded is True
-        assert "offline" in record.reason
-        # Degradation metadata must survive the JSON round trip.
-        clone = RunRecord.from_json(record.to_json())
-        assert clone.degraded and clone.reason == record.reason

@@ -119,27 +119,3 @@ class TestTraceSummary:
             json.dumps(summary)
         )
         assert restored.to_json() == record.to_json()
-
-
-class TestCampaignTracing:
-    def test_campaign_span_and_recovery_counters(self, small):
-        from repro.resilience import CampaignConfig, run_campaign
-
-        tr = Tracer()
-        campaign = CampaignConfig(seed=3, kill=2, bit_flips=1)
-        report = run_campaign(small, GV100, campaign, tracer=tr)
-        names = span_names(tr)
-        assert names[0] == "campaign"
-        assert "campaign.convert" in names and "campaign.timing" in names
-        assert "run" in names  # the traced degraded_run underneath
-        counters = tr.metrics.snapshot()["counters"]
-        assert counters["resilience.retries"] == report.recovery["retries"]
-        assert counters["resilience.failovers"] == report.recovery["failovers"]
-
-    def test_traced_campaign_report_identical_to_untraced(self, small):
-        from repro.resilience import CampaignConfig, run_campaign
-
-        campaign = CampaignConfig(seed=3, kill=1)
-        untraced = run_campaign(small, GV100, campaign)
-        traced = run_campaign(small, GV100, campaign, tracer=Tracer())
-        assert traced.to_json() == untraced.to_json()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks: runnable examples, runnable docs, live links.
 
-Three passes, each independently reported:
+Four passes, each independently reported:
 
 1. every ``examples/*.py`` runs to completion (subprocess, timeout);
 2. every ```` ```python ```` fenced block in ``docs/API.md`` executes
@@ -9,7 +9,10 @@ Three passes, each independently reported:
    the code;
 3. every relative markdown link and ``#anchor`` in ``docs/*.md`` and
    ``README.md`` resolves (http/https/mailto links are skipped — no
-   network in CI).
+   network in CI);
+4. every ``python -m repro <command>`` in ``README.md``, ``docs/*.md``
+   and ``.claude/skills/verify/SKILL.md`` names a subcommand of
+   ``repro.cli``'s parser.
 
 Run from the repository root:  python tools/check_docs.py
 Exit status is non-zero if any check fails.
@@ -33,6 +36,8 @@ _FENCE_RE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 # markdown inline links: [text](target) — good enough for this repo's docs
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
+# a CLI invocation: python -m repro <command> (may wrap after "repro")
+_CLI_RE = re.compile(r"python3? -m repro\s+([a-z][\w-]*)")
 
 
 def _python_env() -> dict:
@@ -140,6 +145,32 @@ def check_links(doc: Path, failures: list[str], anchor_cache: dict) -> None:
         print(f"  ok   {rel}")
 
 
+def cli_commands() -> set[str]:
+    """The subcommands ``repro.cli``'s parser accepts."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.cli import build_parser
+
+    return {
+        name
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name in action.choices
+    }
+
+
+def check_cli_refs(doc: Path, commands: set[str], failures: list[str]) -> None:
+    """Pass 4: every ``python -m repro <command>`` names a real subcommand."""
+    rel = doc.relative_to(REPO)
+    bad = sorted(
+        {m.group(1) for m in _CLI_RE.finditer(doc.read_text())} - commands
+    )
+    if bad:
+        failures.append(f"{rel}: unknown repro command(s) " + ", ".join(bad))
+        print(f"  FAIL {rel} ({len(bad)} unknown)")
+    else:
+        print(f"  ok   {rel}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--skip-examples", action="store_true",
@@ -149,18 +180,24 @@ def main() -> int:
     failures: list[str] = []
 
     if not args.skip_examples:
-        print("[1/3] examples/*.py")
+        print("[1/4] examples/*.py")
         run_examples(failures)
     else:
-        print("[1/3] examples/*.py (skipped)")
+        print("[1/4] examples/*.py (skipped)")
 
-    print("[2/3] docs/API.md python blocks")
+    print("[2/4] docs/API.md python blocks")
     run_doc_blocks(REPO / "docs" / "API.md", failures)
 
-    print("[3/3] markdown links and anchors")
+    docs = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    print("[3/4] markdown links and anchors")
     anchor_cache: dict = {}
-    for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+    for doc in docs:
         check_links(doc, failures, anchor_cache)
+
+    print("[4/4] python -m repro <command> references")
+    commands = cli_commands()
+    for doc in [*docs, REPO / ".claude" / "skills" / "verify" / "SKILL.md"]:
+        check_cli_refs(doc, commands, failures)
 
     if failures:
         print(f"\n{len(failures)} failure(s):", file=sys.stderr)
