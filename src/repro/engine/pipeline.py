@@ -52,11 +52,6 @@ class PipelineReport:
     def meets_fp64(self) -> bool:
         return self.cycle_time_ns <= self.fp64_budget_ns
 
-    @property
-    def throughput_rows_per_s(self) -> float:
-        """Peak DCSR rows emitted per second (one per cycle)."""
-        return 1e9 / self.cycle_time_ns
-
 
 def pipeline_report(
     config: GPUConfig,

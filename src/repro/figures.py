@@ -35,6 +35,13 @@ FIGURE_IDS = ("fig2", "fig4", "fig5", "fig8", "fig9", "fig16")
 
 
 def _sweep(scale: float, k_cap: int):
+    """Every variant's modeled timing over the corpus.
+
+    Records are ``(name, ssf, {variant: TimingResult})``: only what
+    :func:`fig2`, :func:`fig4` and :func:`fig16` read.  The variants'
+    dense outputs are dropped as each matrix finishes; over the corpus
+    at the default scale they would hold gigabytes.
+    """
     gpu = scaled_config(GV100, max(1.0, PAPER_MEDIAN_DIM / (1024 * scale)))
     records = []
     for spec in corpus(scale=scale):
@@ -44,15 +51,16 @@ def _sweep(scale: float, k_cap: int):
         k = min(m.n_cols, k_cap)
         b = random_dense_operand(m.n_cols, k, seed=1)
         variants = run_all_variants(m, b, gpu)
-        records.append((spec, m, variants))
+        timings = {name: run.timing for name, run in variants.items()}
+        records.append((spec.name, ssf(m), timings))
     return records
 
 
 def fig2(scale: float = 2.0, k_cap: int = 2048) -> dict:
     """Stall-reason pie for the CSR baseline (time-weighted)."""
     mem = sm = other = 0.0
-    for _, _, variants in _sweep(scale, k_cap):
-        t = variants["baseline_csr"].timing
+    for _, _, timings in _sweep(scale, k_cap):
+        t = timings["baseline_csr"]
         sb = t.stall_breakdown()
         mem += sb.memory * t.total_s
         sm += sb.sm * t.total_s
@@ -70,13 +78,13 @@ def fig2(scale: float = 2.0, k_cap: int = 2048) -> dict:
 def fig4(scale: float = 2.0, k_cap: int = 2048) -> dict:
     """SSF vs t_C/t_B scatter plus the learned threshold."""
     points = []
-    for spec, m, variants in _sweep(scale, k_cap):
+    for name, s, timings in _sweep(scale, k_cap):
         points.append(
             {
-                "name": spec.name,
-                "ssf": ssf(m),
-                "t_ratio": variants["c_stationary_best"].time_s
-                / variants["online_tiled_dcsr"].time_s,
+                "name": name,
+                "ssf": s,
+                "t_ratio": timings["c_stationary_best"].total_s
+                / timings["online_tiled_dcsr"].total_s,
             }
         )
     s = np.array([p["ssf"] for p in points])
@@ -164,19 +172,19 @@ def fig9(scale: float = 2.0) -> dict:
 def fig16(scale: float = 2.0, k_cap: int = 2048) -> dict:
     """Speedup-vs-SSF scatter and the headline aggregate series."""
     records = _sweep(scale, k_cap)
-    s = np.array([ssf(m) for _, m, _ in records])
+    s = np.array([sv for _, sv, _ in records])
     ratios = np.array(
         [
-            v["c_stationary_best"].time_s / v["online_tiled_dcsr"].time_s
-            for _, _, v in records
+            t["c_stationary_best"].total_s / t["online_tiled_dcsr"].total_s
+            for _, _, t in records
         ]
     )
     fit = learn_threshold(s, ratios)
 
     points, hybrid, blind, cbest, offline, oracle = [], [], [], [], [], []
-    for (spec, m, v), sv in zip(records, s):
-        base = v["baseline_csr"].time_s
-        sp = {name: base / run.time_s for name, run in v.items()}
+    for (name, _, t), sv in zip(records, s):
+        base = t["baseline_csr"].total_s
+        sp = {variant: base / timing.total_s for variant, timing in t.items()}
         arm = "online_tiled_dcsr" if sv > fit.threshold else "c_stationary_best"
         off_arm = (
             "offline_tiled_dcsr" if sv > fit.threshold else "c_stationary_best"
@@ -186,7 +194,7 @@ def fig16(scale: float = 2.0, k_cap: int = 2048) -> dict:
         cbest.append(sp["c_stationary_best"])
         offline.append(sp[off_arm])
         oracle.append(max(sp["online_tiled_dcsr"], sp["c_stationary_best"]))
-        points.append({"name": spec.name, "ssf": float(sv), **sp})
+        points.append({"name": name, "ssf": float(sv), **sp})
     return {
         "figure": "fig16",
         "points": points,

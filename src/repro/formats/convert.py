@@ -114,10 +114,6 @@ class FormatStore:
             self._formats[target] = to_format(self.matrix, target)
         return self._formats[target]
 
-    @property
-    def cached_formats(self) -> tuple[str, ...]:
-        return tuple(sorted(self._formats))
-
 
 # --------------------------------------------- strip extraction cost models
 def _binary_search_probes(lens: np.ndarray) -> np.ndarray:

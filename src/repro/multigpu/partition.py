@@ -58,10 +58,6 @@ class MultiGPUPlan:
         return float(self.n_rows * widest * self.value_bytes)
 
     @property
-    def c_strip_bytes(self) -> float:
-        return self.b_strip_bytes  # same shape
-
-    @property
     def streaming_slack_bytes(self) -> float:
         """Device memory left for staging chunks after A is resident."""
         return self.gpu_memory_bytes - self.a_bytes

@@ -16,8 +16,8 @@ to the same CSR arrays, so ``C_fused[:, lo:hi]`` is *bit-identical* to
 the standalone product (property-tested in
 ``tests/runtime/test_fusion.py``).  Float32 operands convert to
 float64 exactly, so concatenate-then-convert equals convert-then-
-concatenate bitwise.  Identical dense operands (same content hash — the
-operand plane's PR 7 fingerprint path) are deduplicated into a single
+concatenate bitwise.  Identical dense operands (same content hash,
+:func:`repro.store.layout.dense_token`) are deduplicated into a single
 column range of the wide operand.
 
 Execution happens worker-side (:func:`execute_fused_handle`): each
@@ -41,12 +41,12 @@ outcome back into per-request ones.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..store.layout import dense_token
 from .cache import CacheEntry, PlanCache, matrix_fingerprint
 from .plan import SpmmRequest
 from .record import RunRecord
@@ -87,21 +87,6 @@ def is_fused_payload(payload) -> bool:
         isinstance(payload, dict)
         and payload.get("fused") == FUSED_PAYLOAD_VERSION
     )
-
-
-def dense_token(dense) -> str:
-    """Content hash of a dense operand (dtype x shape x bytes).
-
-    The same addressing scheme the operand plane's ``publish_dense``
-    uses, so two requests whose B operands are byte-identical — whether
-    or not they are the same object — share one column range of the
-    fused operand.
-    """
-    a = np.ascontiguousarray(np.asarray(dense))
-    h = hashlib.sha256()
-    h.update(f"dense:{a.dtype.str}:{a.shape}".encode())
-    h.update(a.tobytes())
-    return h.hexdigest()
 
 
 def _pro_rata(d: dict, share: float) -> dict:
@@ -388,7 +373,6 @@ def plan_fusion_groups(
 __all__ = [
     "FUSED_PAYLOAD_VERSION",
     "FusedPlanHandle",
-    "dense_token",
     "dispatch_unit",
     "execute_fused_handle",
     "fan_out_failure",

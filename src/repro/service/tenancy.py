@@ -183,11 +183,6 @@ class MultiTenantPlanCache:
         self._tenant(tenant)
         self._segments.setdefault(tenant, {})[fingerprint] = int(nbytes)
 
-    def release_segments(self, fingerprint: str) -> None:
-        """Drop every tenant's charge for an unlinked segment."""
-        for charges in self._segments.values():
-            charges.pop(fingerprint, None)
-
     def resident_bytes(self, tenant: str) -> int:
         """Total shared-memory bytes currently charged to ``tenant``."""
         return sum(self._segments.get(tenant, {}).values())

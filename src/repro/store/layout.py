@@ -21,6 +21,7 @@ so shared-memory and persistent representations stay interchangeable.
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 from dataclasses import dataclass
 
@@ -55,6 +56,21 @@ def array_crc32(arr: np.ndarray) -> int:
     """
     a = native_contiguous(np.asarray(arr))
     return zlib.crc32(a.data if a.flags.c_contiguous else a.tobytes()) & 0xFFFFFFFF
+
+
+def dense_token(dense) -> str:
+    """Content hash of a dense operand: SHA-256 over dtype, shape and bytes.
+
+    The operand plane's content address for dense operands: the
+    registry's default ``publish_dense`` token, and the key coalescing
+    dedups a fused window's B operands by.  Byte-identical operands get
+    one token whether or not they are the same object.
+    """
+    a = native_contiguous(np.asarray(dense))
+    h = hashlib.sha256()
+    h.update(f"dense:{a.dtype.str}:{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)

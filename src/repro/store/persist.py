@@ -24,11 +24,18 @@ shared by every entry (k-sweeps over one matrix do not duplicate the
 conversions).  Arrays load back with ``np.load(mmap_mode="r")`` — lazily
 paged, read-only views, honoring the containers' immutability convention.
 
-Writes are single-writer by contract (workers open ``readonly=True``);
-readers are safe against a concurrent writer because the manifest is
-replaced atomically and data files are written before the manifest that
-references them.  Artifact/format pickles are trusted exactly as much as
-the store directory itself (same trust model as the run journal).
+Writes are single-writer by contract: one process owns a store
+directory (a ``run --store-dir`` process or the ``serve`` parent;
+workers never open one).  Readers are safe against a concurrent writer
+because the manifest is replaced atomically and data files are written
+before the manifest that references them.  Entries stay until the
+directory is cleared; only the quarantine of a corrupt file and the
+disk-full path (:meth:`PersistentFormatStore._degrade`) drop one.  A
+disk hit bumps its entry's recency stamp in memory only, so it writes
+nothing; the stamp reaches disk with the next manifest write that
+happens anyway, and a crash loses only recency.  Artifact/format
+pickles are trusted exactly as much as the store directory itself (same
+trust model as the run journal).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import json
 import os
 import pickle
 import time
+import zlib
 
 import numpy as np
 
@@ -68,7 +76,6 @@ STAT_KEYS = (
     "verify_s",
     "corrupt_dropped",
     "write_errors",
-    "over_budget_drops",
 )
 
 #: Exceptions a reload treats as a corrupt/torn on-disk artifact (the
@@ -92,26 +99,21 @@ def _entry_id(key_str: str) -> str:
     return hashlib.sha256(key_str.encode()).hexdigest()[:24]
 
 
+def _blob_crc32(blob: bytes) -> int:
+    """CRC32 of a pickle's bytes (its integrity stamp)."""
+    return zlib.crc32(blob) & 0xFFFFFFFF
+
+
 class PersistentFormatStore:
     """On-disk spill/reload tier for :class:`~repro.runtime.cache.PlanCache`."""
 
     MANIFEST = "manifest.json"
 
-    def __init__(
-        self,
-        root: str,
-        *,
-        max_bytes: int | None = None,
-        readonly: bool = False,
-        pressure=None,
-    ):
+    def __init__(self, root: str, *, pressure=None):
         from ..runtime.pressure import ResourcePressure
 
         self.root = os.path.abspath(root)
-        self.readonly = bool(readonly)
-        self.max_bytes = int(max_bytes) if max_bytes else None
-        if not self.readonly:
-            os.makedirs(self.root, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
         self._manifest = self._load_manifest()
         #: process-local rebuilt matrices, fingerprint -> container
         self._matrices: dict[str, object] = {}
@@ -167,12 +169,12 @@ class PersistentFormatStore:
             fh.flush()
             os.fsync(fh.fileno())
         self._verified.add(rel)  # we just wrote these exact bytes
-        return os.path.getsize(path), array_crc32(a)
+        nbytes = os.path.getsize(path)
+        self.stats["bytes_written"] += nbytes
+        return nbytes, array_crc32(a)
 
     def _save_pickle(self, rel: str, obj) -> tuple[int, int]:
         """Write one pickle; returns ``(nbytes, crc)`` over its bytes."""
-        import zlib
-
         path = self._abs(rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -181,114 +183,101 @@ class PersistentFormatStore:
             fh.flush()
             os.fsync(fh.fileno())
         self._verified.add(rel)
-        return len(blob), zlib.crc32(blob) & 0xFFFFFFFF
+        self.stats["bytes_written"] += len(blob)
+        return len(blob), _blob_crc32(blob)
+
+    def _save_arrays(self, directory: str, stem: str, arrays: dict) -> dict:
+        """Write a row's arrays as ``<directory>/<stem>.<name>.npy``.
+
+        Returns the row's ``arrays`` (name -> path), ``crc`` and ``bytes``
+        manifest fields.
+        """
+        refs, crcs, total = {}, {}, 0
+        for name, arr in arrays.items():
+            rel = os.path.join(directory, f"{stem}.{name}.npy")
+            nbytes, crcs[name] = self._save_array(rel, arr)
+            refs[name] = rel
+            total += nbytes
+        return {"arrays": refs, "crc": crcs, "bytes": total}
+
+    def _verify(self, rel: str, crc, checksum, data) -> None:
+        """Check ``data`` against its manifest CRC, once per path per process.
+
+        Verification forces one linear read of the data — measured in
+        ``verify_s`` so the warm-start bench can assert the overhead stays
+        under its budget.  A mismatch raises
+        :class:`~repro.errors.OperandCorruptionError`; a torn or truncated
+        file surfaces earlier as ``ValueError``/``OSError`` from the load —
+        callers handle both identically (drop the entry, re-derive).
+        """
+        if crc is None or rel in self._verified:
+            return
+        start = time.perf_counter()
+        actual = checksum(data)
+        self.stats["verify_s"] += time.perf_counter() - start
+        if actual != crc:
+            raise OperandCorruptionError(
+                f"persisted file {rel} failed its integrity check",
+                segment=rel,
+                arrays=(rel,),
+                plane="persist",
+            )
+        self._verified.add(rel)
 
     def _load_array(self, rel: str, crc=None):
-        """mmap one ``.npy``, verifying its checksum on first load.
-
-        Verification (memoized per process per path) forces one linear
-        read of the data — measured in ``verify_s`` so the warm-start
-        bench can assert the overhead stays under its budget.  A mismatch
-        raises :class:`~repro.errors.OperandCorruptionError`; a torn or
-        truncated file surfaces as ``ValueError``/``OSError`` from
-        ``np.load`` — both are handled identically by callers (drop the
-        entry, re-derive).
-        """
+        """mmap one ``.npy``, verifying its checksum on first load."""
         arr = np.load(self._abs(rel), mmap_mode="r")
-        if crc is not None and rel not in self._verified:
-            start = time.perf_counter()
-            actual = array_crc32(arr)
-            self.stats["verify_s"] += time.perf_counter() - start
-            if actual != crc:
-                raise OperandCorruptionError(
-                    f"persisted array {rel} failed its integrity check",
-                    segment=rel,
-                    arrays=(rel,),
-                    plane="persist",
-                )
-            self._verified.add(rel)
+        self._verify(rel, crc, array_crc32, arr)
         return arr
 
     def _load_pickle(self, rel: str, crc=None):
-        import zlib
-
         with open(self._abs(rel), "rb") as fh:
             blob = fh.read()
-        if crc is not None and rel not in self._verified:
-            start = time.perf_counter()
-            actual = zlib.crc32(blob) & 0xFFFFFFFF
-            self.stats["verify_s"] += time.perf_counter() - start
-            if actual != crc:
-                raise OperandCorruptionError(
-                    f"persisted pickle {rel} failed its integrity check",
-                    segment=rel,
-                    arrays=(rel,),
-                    plane="persist",
-                )
-            self._verified.add(rel)
+        self._verify(rel, crc, _blob_crc32, blob)
         return pickle.loads(blob)
+
+    def _load_arrays(self, ref: dict) -> dict:
+        """mmap every array of a manifest row written by :meth:`_save_arrays`."""
+        crcs = ref.get("crc", {})
+        return {
+            name: self._load_array(rel, crcs.get(name))
+            for name, rel in ref["arrays"].items()
+        }
 
     # ------------------------------------------------------------ matrices
     def _persist_matrix(self, fingerprint: str, matrix) -> dict:
-        """Ensure the base container is on disk; returns its manifest row."""
-        row = self._manifest["matrices"].get(fingerprint)
-        if row is not None:
-            return row
+        """Write the base container to disk; returns its manifest row."""
         arrays = matrix_arrays(matrix)
         kind = matrix.format_name if arrays is not None else "coo"
         if arrays is None:
             # No adapter for this container: fall back to its COO triplets.
             rows, cols, vals = matrix.to_coo_arrays()
             arrays = {"rows": rows, "cols": cols, "values": vals}
-        refs, crcs, nbytes = {}, {}, 0
-        for name, arr in arrays.items():
-            rel = os.path.join("matrices", fingerprint, f"base.{name}.npy")
-            size, crc = self._save_array(rel, arr)
-            nbytes += size
-            refs[name] = rel
-            crcs[name] = crc
         row = {
             "kind": kind,
             "shape": [int(matrix.n_rows), int(matrix.n_cols)],
-            "arrays": refs,
-            "crc": crcs,
             "formats": {},
-            "bytes": nbytes,
+            **self._save_arrays(os.path.join("matrices", fingerprint), "base", arrays),
         }
         self._manifest["matrices"][fingerprint] = row
-        self.stats["bytes_written"] += nbytes
         return row
 
     def _persist_formats(self, fingerprint: str, row: dict, store) -> int:
         """Merge ``store``'s cached formats into the matrix row; new count."""
+        directory = os.path.join("matrices", fingerprint)
         added = 0
         for fmt, container in store._formats.items():
             if fmt in row["formats"]:
                 continue
             arrays = matrix_arrays(container) if fmt in ADAPTERS else None
             if arrays is not None:
-                refs, crcs = {}, {}
-                nbytes = 0
-                for name, arr in arrays.items():
-                    rel = os.path.join(
-                        "matrices", fingerprint, f"fmt.{fmt}.{name}.npy"
-                    )
-                    size, crc = self._save_array(rel, arr)
-                    nbytes += size
-                    refs[name] = rel
-                    crcs[name] = crc
-                row["formats"][fmt] = {
-                    "kind": "arrays", "arrays": refs, "crc": crcs,
-                    "bytes": nbytes,
-                }
+                ref = {"kind": "arrays", **self._save_arrays(directory, f"fmt.{fmt}", arrays)}
             else:
-                rel = os.path.join("matrices", fingerprint, f"fmt.{fmt}.pkl")
+                rel = os.path.join(directory, f"fmt.{fmt}.pkl")
                 nbytes, crc = self._save_pickle(rel, container)
-                row["formats"][fmt] = {
-                    "kind": "pickle", "path": rel, "crc": crc, "bytes": nbytes,
-                }
-            row["bytes"] += nbytes
-            self.stats["bytes_written"] += nbytes
+                ref = {"kind": "pickle", "path": rel, "crc": crc, "bytes": nbytes}
+            row["formats"][fmt] = ref
+            row["bytes"] += ref["bytes"]
             added += 1
         return added
 
@@ -308,13 +297,10 @@ class PersistentFormatStore:
         row = self._manifest["matrices"].get(fingerprint)
         if row is None:
             return None
-        crcs = row.get("crc", {})
         try:
-            arrays = {
-                name: self._load_array(rel, crcs.get(name))
-                for name, rel in row["arrays"].items()
-            }
-            matrix = matrix_from_arrays(row["kind"], tuple(row["shape"]), arrays)
+            matrix = matrix_from_arrays(
+                row["kind"], tuple(row["shape"]), self._load_arrays(row)
+            )
         except _CORRUPT_EXCS:
             self._quarantine_matrix(fingerprint)
             return None
@@ -343,9 +329,10 @@ class PersistentFormatStore:
         entry to hand space back to the planes that matter more (the
         journal), and counts the incident (``write_errors``,
         ``pressure``) — warm starts keep serving from what is already on
-        disk.
+        disk.  Writing the manifest also saves the recency stamps that
+        disk hits bumped in memory since the last write.
         """
-        if self.readonly or self._write_disabled:
+        if self._write_disabled:
             return False
         start = time.perf_counter()
         key_str = encode_key(key)
@@ -375,7 +362,6 @@ class PersistentFormatStore:
             if self._persist_artifacts(known, entry.store):
                 dirty = True
             if dirty:
-                self._enforce_budget(keep=key_str)
                 self._write_manifest()
                 self.stats["spills"] += 1
                 self.stats["spill_s"] += time.perf_counter() - start
@@ -404,7 +390,6 @@ class PersistentFormatStore:
                 {"key": list(art_key), "kind": kind, "path": rel, "crc": crc}
             )
             known["bytes"] += nbytes
-            self.stats["bytes_written"] += nbytes
             added += 1
         return added
 
@@ -439,13 +424,8 @@ class PersistentFormatStore:
         try:
             for fmt, ref in row["formats"].items():
                 if ref["kind"] == "arrays":
-                    crcs = ref.get("crc", {})
-                    arrays = {
-                        name: self._load_array(rel, crcs.get(name))
-                        for name, rel in ref["arrays"].items()
-                    }
                     store._formats[fmt] = matrix_from_arrays(
-                        fmt, tuple(row["shape"]), arrays
+                        fmt, tuple(row["shape"]), self._load_arrays(ref)
                     )
                 else:
                     store._formats[fmt] = self._load_pickle(
@@ -455,14 +435,8 @@ class PersistentFormatStore:
                 art_key = tuple(
                     tuple(k) if isinstance(k, list) else k for k in art["key"]
                 )
-                if art["kind"] == "npy":
-                    store.artifacts[art_key] = self._load_array(
-                        art["path"], art.get("crc")
-                    )
-                else:
-                    store.artifacts[art_key] = self._load_pickle(
-                        art["path"], art.get("crc")
-                    )
+                load = self._load_array if art["kind"] == "npy" else self._load_pickle
+                store.artifacts[art_key] = load(art["path"], art.get("crc"))
             plan = SpmmPlan.from_dict(known["plan"])
         except _CORRUPT_EXCS:
             # A torn or bit-flipped spill is dropped and re-derived, never
@@ -478,19 +452,16 @@ class PersistentFormatStore:
         return entry
 
     def _touch(self, known: dict) -> None:
-        """Mark one entry as just-used, making eviction LRU.
+        """Mark one entry as just used, in memory only.
 
         ``seq`` doubles as the recency stamp: assigned at spill time and
-        refreshed on every disk hit (including plan-cache fall-through
-        loads), so :meth:`_enforce_budget`'s min-``seq`` victim is the
-        least-recently-*used* entry, not the oldest insert.  Readonly
-        handles (workers) skip the manifest write — they never evict, so
-        their recency signal is advisory anyway.
+        bumped on every disk hit, so :meth:`_degrade`'s min-``seq`` victim
+        is the least-recently-*used* entry, not the oldest insert.  The
+        bump reaches disk with the next manifest write that happens
+        anyway (a spill, a quarantine, a degrade), never on its own.
         """
         known["seq"] = self._manifest["seq"]
         self._manifest["seq"] += 1
-        if not self.readonly and not self._write_disabled:
-            self._safe_write_manifest()
 
     def __contains__(self, key: tuple) -> bool:
         return encode_key(key) in self._manifest["entries"]
@@ -498,37 +469,7 @@ class PersistentFormatStore:
     def __len__(self) -> int:
         return len(self._manifest["entries"])
 
-    # --------------------------------------------------------------- budget
-    def disk_bytes(self) -> int:
-        """Total payload bytes the manifest accounts for."""
-        total = sum(row["bytes"] for row in self._manifest["matrices"].values())
-        total += sum(e["bytes"] for e in self._manifest["entries"].values())
-        return int(total)
-
-    def _enforce_budget(self, *, keep: str) -> None:
-        if self.max_bytes is None:
-            return
-        entries = self._manifest["entries"]
-        while self.disk_bytes() > self.max_bytes and len(entries) > 1:
-            victim = min(
-                (k for k in entries if k != keep),
-                key=lambda k: entries[k]["seq"],
-                default=None,
-            )
-            if victim is None:
-                break
-            self._drop_entry(victim)
-            self.stats["evictions"] += 1
-        # The loop never evicts the entry being written, so a single
-        # entry larger than the whole budget would otherwise stay
-        # resident forever.  Evict it too (counted separately as
-        # ``over_budget_drops``): an over-budget store must converge on
-        # empty, not on one permanently oversized resident.
-        if self.disk_bytes() > self.max_bytes and keep in entries:
-            self._drop_entry(keep)
-            self.stats["evictions"] += 1
-            self.stats["over_budget_drops"] += 1
-
+    # ------------------------------------------------------------ eviction
     def _drop_entry(self, key_str: str) -> None:
         known = self._manifest["entries"].pop(key_str)
         for art in known["artifacts"]:
@@ -544,15 +485,20 @@ class PersistentFormatStore:
             if row is not None:
                 self._unlink_matrix_row(row)
 
-    def _unlink_matrix_row(self, row: dict) -> None:
-        for rel in row["arrays"].values():
-            self._unlink(rel)
-        for ref in row["formats"].values():
-            if ref["kind"] == "arrays":
-                for rel in ref["arrays"].values():
-                    self._unlink(rel)
+    @staticmethod
+    def _row_files(row: dict):
+        """``(path, crc, kind)`` for every file a matrix row references."""
+        for ref in (row, *row["formats"].values()):
+            if "arrays" in ref:
+                crcs = ref.get("crc", {})
+                for name, rel in ref["arrays"].items():
+                    yield rel, crcs.get(name), "npy"
             else:
-                self._unlink(ref["path"])
+                yield ref["path"], ref.get("crc"), "pickle"
+
+    def _unlink_matrix_row(self, row: dict) -> None:
+        for rel, _, _ in self._row_files(row):
+            self._unlink(rel)
 
     def _unlink(self, rel: str) -> None:
         try:
@@ -565,9 +511,7 @@ class PersistentFormatStore:
     def _quarantine_matrix(self, fingerprint: str) -> None:
         """Drop a corrupt persisted matrix and every entry built on it.
 
-        Counted once per incident in ``corrupt_dropped``.  Readonly
-        handles (workers) distrust the rows in-process only — the writer
-        is the one that unlinks files and rewrites the manifest.
+        Counted once per incident in ``corrupt_dropped``.
         """
         self.stats["corrupt_dropped"] += 1
         self._matrices.pop(fingerprint, None)
@@ -575,11 +519,6 @@ class PersistentFormatStore:
             k for k, e in self._manifest["entries"].items()
             if e["fingerprint"] == fingerprint
         ]
-        if self.readonly:
-            for k in stale:
-                self._manifest["entries"].pop(k, None)
-            self._manifest["matrices"].pop(fingerprint, None)
-            return
         for k in stale:
             self._drop_entry(k)
         row = self._manifest["matrices"].pop(fingerprint, None)
@@ -590,9 +529,6 @@ class PersistentFormatStore:
     def _quarantine_entry(self, key_str: str) -> None:
         """Drop one entry whose formats/artifacts failed verification."""
         self.stats["corrupt_dropped"] += 1
-        if self.readonly:
-            self._manifest["entries"].pop(key_str, None)
-            return
         if key_str in self._manifest["entries"]:
             self._drop_entry(key_str)
         self._safe_write_manifest()
@@ -616,8 +552,6 @@ class PersistentFormatStore:
 
     def _safe_write_manifest(self) -> None:
         """Manifest write that degrades instead of raising on I/O failure."""
-        if self.readonly:
-            return
         try:
             self._write_manifest()
         except OSError as exc:
@@ -656,16 +590,8 @@ class PersistentFormatStore:
             (bad_fingerprints if scope == "matrix" else bad_entries).add(name)
 
         for fp, row in self._manifest["matrices"].items():
-            crcs = row.get("crc", {})
-            for name, rel in row["arrays"].items():
-                check(rel, crcs.get(name), "npy", ("matrix", fp))
-            for ref in row["formats"].values():
-                if ref["kind"] == "arrays":
-                    fmt_crcs = ref.get("crc", {})
-                    for name, rel in ref["arrays"].items():
-                        check(rel, fmt_crcs.get(name), "npy", ("matrix", fp))
-                else:
-                    check(ref["path"], ref.get("crc"), "pickle", ("matrix", fp))
+            for rel, crc, kind in self._row_files(row):
+                check(rel, crc, kind, ("matrix", fp))
         for key_str, known in self._manifest["entries"].items():
             for art in known["artifacts"]:
                 check(
@@ -688,8 +614,6 @@ class PersistentFormatStore:
 
     def _check_file(self, rel: str, crc, kind: str) -> str:
         """``"ok"`` / ``"corrupt"`` / ``"missing"`` for one referenced file."""
-        import zlib
-
         path = self._abs(rel)
         start = time.perf_counter()
         try:
@@ -697,7 +621,7 @@ class PersistentFormatStore:
                 actual = array_crc32(np.load(path, mmap_mode="r"))
             else:
                 with open(path, "rb") as fh:
-                    actual = zlib.crc32(fh.read()) & 0xFFFFFFFF
+                    actual = _blob_crc32(fh.read())
         except FileNotFoundError:
             return "missing"
         except _CORRUPT_EXCS:

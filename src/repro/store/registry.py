@@ -10,13 +10,12 @@ receive only the :class:`~repro.store.layout.SegmentDescriptor` and call
 ndarray views — no pickling, no per-process copies, identical under
 ``fork`` and ``spawn`` start methods.
 
-Lifecycle is refcounted: each :meth:`SharedOperandRegistry.acquire`
-registers interest, :meth:`release` drops it, and a segment is unlinked
-when its count reaches zero (or unconditionally on :meth:`close`).  Every
-live segment is recorded as a *lease* file (``<lease_dir>/<segment>.json``
-with the owner's pid), so :meth:`sweep_orphans` in any later process can
-detect segments whose owner died without unlinking — the crash-orphan
-path — and reclaim them.
+A segment lives until :meth:`SharedOperandRegistry.close` (the batch
+executor's ``finally``, the service's drain) or until :meth:`republish`
+replaces it with a clean copy.  Every live segment is recorded as a
+*lease* file (``<lease_dir>/<segment>.json`` with the owner's pid), so
+:meth:`sweep_orphans` in any later process can detect segments whose
+owner died without unlinking — the crash-orphan path — and reclaim them.
 
 Attach-side caveat: Python's ``resource_tracker`` would otherwise adopt
 attached segments and unlink them when the *worker* exits, destroying the
@@ -37,6 +36,7 @@ import numpy as np
 from ..errors import OperandCorruptionError
 from .layout import (
     SegmentDescriptor,
+    dense_token,
     matrix_arrays,
     matrix_from_arrays,
     native_contiguous,
@@ -53,7 +53,6 @@ STAT_KEYS = (
     "publish_hits",
     "dense_dedup_hits",
     "orphans_swept",
-    "releases",
     "unlinked",
     "publish_failures",
     "republished",
@@ -117,8 +116,6 @@ class SharedOperandRegistry:
         os.makedirs(self.lease_dir, exist_ok=True)
         #: token -> (SharedMemory, SegmentDescriptor)
         self._segments: dict[str, tuple] = {}
-        #: token -> refcount (publishers + explicit acquires)
-        self._refs: dict[str, int] = {}
         #: token -> (kind, shape, arrays) — the publisher's own copy, the
         #: source of truth :meth:`republish` rebuilds a corrupted segment
         #: from (array references, not copies: zero extra resident bytes)
@@ -175,7 +172,6 @@ class SharedOperandRegistry:
             total_bytes=total,
         )
         self._segments[token] = (shm, descriptor)
-        self._refs[token] = 1
         self._sources[token] = (kind, tuple(shape), dict(arrays))
         try:
             self._write_lease(descriptor)
@@ -195,11 +191,10 @@ class SharedOperandRegistry:
         (``publish_failures`` distinguishes the two); callers fall back
         to pickling and should count ``store.bytes_pickled`` /
         ``store.fallback_pickle``.  Repeat publishes of the same
-        fingerprint bump the refcount and return the existing descriptor.
+        fingerprint return the existing descriptor (``publish_hits``).
         """
         held = self._segments.get(fingerprint)
         if held is not None:
-            self._refs[fingerprint] += 1
             self.stats["publish_hits"] += 1
             return held[1]
         arrays = matrix_arrays(matrix)
@@ -222,15 +217,9 @@ class SharedOperandRegistry:
         a = native_contiguous(np.asarray(dense))
         content_addressed = token is None
         if token is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            h.update(f"dense:{a.dtype.str}:{a.shape}".encode())
-            h.update(a.tobytes())
-            token = h.hexdigest()
+            token = dense_token(a)
         held = self._segments.get(token)
         if held is not None:
-            self._refs[token] += 1
             self.stats["publish_hits"] += 1
             if content_addressed:
                 self.stats["dense_dedup_hits"] += 1
@@ -238,41 +227,21 @@ class SharedOperandRegistry:
         return self._publish(token, "dense", a.shape, {"dense": a})
 
     # ------------------------------------------------------------ lifecycle
-    def acquire(self, token: str) -> None:
-        """Register one more consumer of ``token``'s segment."""
-        if token not in self._segments:
-            raise KeyError(f"no segment published for {token!r}")
-        self._refs[token] += 1
-
-    def release(self, token: str) -> bool:
-        """Drop one reference; unlink the segment when the count hits zero.
-
-        Returns ``True`` if this release unlinked the segment.
-        """
-        if token not in self._segments:
-            return False
-        self.stats["releases"] += 1
-        self._refs[token] -= 1
-        if self._refs[token] > 0:
-            return False
-        self._unlink(token)
-        return True
-
     def _unlink(self, token: str) -> None:
+        """Unlink ``token``'s segment and its lease; the source copy stays."""
         shm, descriptor = self._segments.pop(token)
-        self._refs.pop(token, None)
-        self._sources.pop(token, None)
         self._remove_lease(descriptor.segment)
         try:
             _unlink_segment(shm)
-        except FileNotFoundError:  # already swept by another process
+        except OSError:  # already swept by another process
             pass
         self.stats["unlinked"] += 1
 
     def close(self) -> None:
-        """Unlink every owned segment regardless of refcounts."""
+        """Unlink every owned segment."""
         for token in list(self._segments):
             self._unlink(token)
+        self._sources.clear()
 
     def __enter__(self):
         return self
@@ -312,7 +281,7 @@ class SharedOperandRegistry:
             try:
                 bad = self.verify_segment(token)
             except KeyError:
-                continue  # released concurrently
+                continue  # unlinked concurrently
             if bad:
                 report[token] = bad
         return report
@@ -325,27 +294,17 @@ class SharedOperandRegistry:
         harmless, it is never consulted again) and the operand is
         republished under a *fresh* segment name, so worker-side attach
         memos (keyed by segment name) miss and the retry re-attaches and
-        re-verifies.  Refcounts carry over.  Returns the new descriptor,
-        or ``None`` if the source is gone or shared memory is exhausted.
+        re-verifies.  Returns the new descriptor, or ``None`` if the
+        source is gone or shared memory is exhausted.
         """
         source = self._sources.get(token)
         if source is None:
             return None
         kind, shape, arrays = source
-        refs = self._refs.get(token, 1)
-        held = self._segments.pop(token, None)
-        self._refs.pop(token, None)
-        if held is not None:
-            shm, descriptor = held
-            self._remove_lease(descriptor.segment)
-            try:
-                _unlink_segment(shm)
-            except OSError:
-                pass
-            self.stats["unlinked"] += 1
+        if token in self._segments:
+            self._unlink(token)
         descriptor = self._publish(token, kind, shape, arrays)
         if descriptor is not None:
-            self._refs[token] = refs
             self.stats["republished"] += 1
         return descriptor
 
@@ -380,7 +339,7 @@ class SharedOperandRegistry:
         of orphaned segments reclaimed (counted in ``orphans_swept``).
 
         The scan races benignly with live publishers and with concurrent
-        sweeps: a lease that vanishes mid-scan (its owner released the
+        sweeps: a lease that vanishes mid-scan (its owner unlinked the
         segment, or another sweeper got there first), undecodable lease
         JSON, or a structurally wrong lease body (non-dict, non-string
         segment name) is skipped, never raised.  A lease whose owner is

@@ -33,10 +33,11 @@ from repro.runtime import (
     matrix_fingerprint,
     plan_fusion_groups,
 )
-from repro.runtime.fusion import dense_token, execute_fused_handle
+from repro.runtime.fusion import execute_fused_handle
 from repro.runtime.parallel import execute_handle
 from repro.runtime.record import RunRecord
 from repro.runtime.supervisor import ChaosFault, SupervisionPolicy
+from repro.store.layout import dense_token
 
 
 # ------------------------------------------------------- kernel property

@@ -88,10 +88,10 @@ class TestCoalescingScheduler:
 
 
 # ------------------------------------------------------------ live service
-def _concurrent_submits(socket_path, seeds, *, spec=SPEC, release=None):
+def _concurrent_submits(socket_path, seeds, *, spec=SPEC, unblock=None):
     """Submit one request per seed from concurrent client threads.
 
-    ``release()``, when given, runs once every thread has started (it
+    ``unblock()``, when given, runs once every thread has started (it
     waits for the submits to queue, then lets them dispatch).
     """
     results: dict[int, dict] = {}
@@ -107,8 +107,8 @@ def _concurrent_submits(socket_path, seeds, *, spec=SPEC, release=None):
     threads = [threading.Thread(target=one, args=(s,)) for s in seeds]
     for t in threads:
         t.start()
-    if release is not None:
-        release()
+    if unblock is not None:
+        unblock()
     for t in threads:
         t.join()
     assert not errors, errors
@@ -122,11 +122,11 @@ def test_concurrent_same_matrix_requests_fuse(service_factory, held):
     held.pulls()
     seeds = list(range(6))
 
-    def release():
+    def unblock():
         wait_until(lambda: queued(svc) == len(seeds))
         held.release_pulls(svc)
 
-    results = _concurrent_submits(handle.socket_path, seeds, release=release)
+    results = _concurrent_submits(handle.socket_path, seeds, unblock=unblock)
     for seed in seeds:
         result = results[seed]["result"]
         assert results[seed]["status"] == 200

@@ -1,4 +1,4 @@
-"""Persistent format store: spill, warm-start reload, budget, manifest."""
+"""Persistent format store: spill, warm-start reload, disk-full, manifest."""
 
 import json
 import os
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.gpu import GV100
 from repro.matrices import uniform_random
-from repro.runtime import PlanCache, SpmmRequest, SpmmRuntime
+from repro.resilience import failing_fsync
+from repro.runtime import FULL_CAPABILITIES, PlanCache, SpmmRequest, SpmmRuntime
 from repro.store import MANIFEST_VERSION, PersistentFormatStore
 from repro.telemetry import Tracer
 
@@ -66,28 +67,15 @@ def test_warm_start_zero_conversions_digest_identical(tmp_path):
 def test_disk_hit_promotes_to_ram_when_room(tmp_path):
     root = str(tmp_path / "store")
     runtime(root).run(request())
+    manifest = tmp_path / "store" / "manifest.json"
+    before = manifest.read_bytes()
     fresh = runtime(root)
     fresh.run(request())
     assert fresh.cache.stats["disk_hits"] == 1
+    assert manifest.read_bytes() == before  # recency stays in memory
     fresh.run(request())  # second run: pure RAM hit
     assert fresh.cache.stats["disk_hits"] == 1
     assert fresh.cache.stats["hits"] == 2
-
-
-def test_readonly_store_never_writes(tmp_path):
-    root = str(tmp_path / "store")
-    runtime(root).run(request())
-    manifest = os.path.join(root, "manifest.json")
-    before = os.path.getmtime(manifest)
-
-    ro = SpmmRuntime(
-        GV100,
-        cache=PlanCache(persist=PersistentFormatStore(root, readonly=True)),
-    )
-    rec = ro.run(request(seed=7))  # a miss: would spill if writable
-    assert rec.record.digest()
-    assert ro.cache.spills == 0
-    assert os.path.getmtime(manifest) == before
 
 
 def test_missing_key_is_a_miss(tmp_path):
@@ -133,27 +121,6 @@ def test_manifest_never_raises_on_content(raw):
             fh.write(raw)
         store = PersistentFormatStore(root)
         assert len(store) == 0 and store.fingerprints() == []
-        assert store.disk_bytes() == 0
-
-
-def test_budget_evicts_oldest_entries(tmp_path):
-    root = str(tmp_path / "store")
-    rt = runtime(root)
-    rt.run(request(seed=0))
-    baseline = PersistentFormatStore(root).disk_bytes()
-
-    tight = SpmmRuntime(
-        GV100,
-        cache=PlanCache(
-            persist=PersistentFormatStore(root, max_bytes=int(baseline * 1.5))
-        ),
-    )
-    for seed in range(1, 4):
-        tight.run(request(seed=seed))
-    after = PersistentFormatStore(root)
-    assert after.disk_bytes() <= int(baseline * 1.5) + baseline  # keep + slack
-    assert len(after) < 4  # something was evicted
-    assert after.stats["misses"] == 0
 
 
 def test_incremental_put_is_idempotent(tmp_path):
@@ -178,68 +145,32 @@ def test_entries_share_one_persisted_matrix(tmp_path, seeds):
     assert len(store.fingerprints()) == 1
 
 
-def test_lru_touch_on_disk_hit_protects_hot_entry(tmp_path):
-    """Eviction is LRU, not insert-order: a disk fall-through hit
-    refreshes the entry's recency, so the cold neighbor is the victim.
-    """
-    from repro.runtime import matrix_fingerprint
+def test_disk_full_spill_degrades_and_evicts_least_recently_used(tmp_path):
+    """A failed spill flips the store read-only and evicts by recency.
 
-    root = str(tmp_path / "store")
-    rt = runtime(root)
-    rt.run(request(seed=0))  # oldest insert
-    rt.run(request(seed=1))
-    budget = PersistentFormatStore(root).disk_bytes()  # fits 2 entries
-
-    tight = SpmmRuntime(
-        GV100,
-        cache=PlanCache(persist=PersistentFormatStore(root, max_bytes=budget)),
-    )
-    # Disk fall-through reload of the seed-0 entry touches it ...
-    tight.run(request(seed=0))
-    assert tight.cache.persist.stats["loads"] >= 1
-    # ... so spilling a third entry evicts seed-1, not the older seed-0.
-    tight.run(request(seed=2))
-    survivors = set(PersistentFormatStore(root).fingerprints())
-    fp = lambda seed: matrix_fingerprint(uniform_random(32, 32, 0.1, seed=seed))
-    assert fp(0) in survivors
-    assert fp(2) in survivors
-    assert fp(1) not in survivors
-
-
-def test_lru_spill_reload_roundtrip_after_eviction(tmp_path):
-    """A warm start against the post-eviction store still reloads the
-    surviving (touched) entry with zero conversions.
+    A is spilled before B, but a disk hit on A makes B the entry used
+    least recently, so B is the one handed back to the disk.
     """
     root = str(tmp_path / "store")
-    rt = runtime(root)
-    rt.run(request(seed=0))
-    rt.run(request(seed=1))
-    budget = PersistentFormatStore(root).disk_bytes()
-    tight = SpmmRuntime(
-        GV100,
-        cache=PlanCache(persist=PersistentFormatStore(root, max_bytes=budget)),
+    writer = runtime(root)
+    writer.run(request(seed=0))  # A
+    writer.run(request(seed=1))  # B
+    threshold = writer.planner.ssf_threshold
+    key_a, key_b, key_c = (
+        PlanCache.key_for(request(seed=seed), GV100, FULL_CAPABILITIES, threshold)
+        for seed in range(3)
     )
-    tight.run(request(seed=0))  # touch
-    tight.run(request(seed=2))  # evicts seed-1
-    want = rt.run(request(seed=0)).record.digest()
+    ram = SpmmRuntime(GV100)  # builds C's entry without touching the store
+    ram.run(request(seed=2))
+    entry_c = ram.cache.lookup(key_c)
 
-    fresh = runtime(root)
-    outcome = fresh.run(request(seed=0))
-    assert outcome.record.digest() == want
-    assert fresh.cache.persist.stats["misses"] == 0
-
-
-def test_readonly_touch_skips_manifest_write(tmp_path):
-    """A readonly handle's disk hit must not rewrite the manifest."""
-    root = str(tmp_path / "store")
-    rt = runtime(root)
-    rt.run(request(seed=0))
-    manifest = os.path.join(root, "manifest.json")
-    before = os.stat(manifest).st_mtime_ns
-    ro = SpmmRuntime(
-        GV100,
-        cache=PlanCache(persist=PersistentFormatStore(root, readonly=True)),
-    )
-    ro.run(request(seed=0))  # disk fall-through hit
-    assert ro.cache.persist.stats["loads"] >= 1
-    assert os.stat(manifest).st_mtime_ns == before
+    store = PersistentFormatStore(root)
+    assert store.get(key_a) is not None  # disk hit on A
+    with failing_fsync(fail_from=0):
+        assert store.put(key_c, entry_c) is False  # C's spill fails
+    assert store.degraded
+    assert store.pressure.is_degraded("persist")
+    assert key_b not in store  # the entry not hit is the victim
+    assert key_a in store and key_c not in store
+    assert store.stats["evictions"] == 1
+    assert store.get(key_a) is not None  # A still loads

@@ -15,6 +15,7 @@ from repro.store import (
     detach_all,
     pickled_nbytes,
 )
+from repro.store.layout import dense_token
 
 
 @pytest.fixture
@@ -59,20 +60,12 @@ def test_publish_dense_content_addressed(registry):
     d1 = registry.publish_dense(b)
     d2 = registry.publish_dense(b.copy())  # same bytes, same token
     assert d1 is d2
+    # One content hash: coalescing dedups by the token the registry uses,
+    # and a byte-swapped copy of the same values hashes the same.
+    assert d1.token == dense_token(b) == dense_token(b.astype(">f8"))
     arr, fresh = attach_dense(d1)
     assert fresh is True
     np.testing.assert_array_equal(arr, b)
-
-
-def test_release_unlinks_at_zero(registry):
-    m = matrix()
-    fp = matrix_fingerprint(m)
-    registry.publish_matrix(m, fingerprint=fp)
-    registry.acquire(fp)
-    assert registry.release(fp) is False  # one ref still held
-    assert registry.release(fp) is True  # refcount hit zero: unlinked
-    assert fp not in registry.descriptors
-    assert registry.stats["unlinked"] == 1
 
 
 def test_close_force_unlinks_and_clears_leases(registry):
@@ -106,7 +99,6 @@ def test_sweep_orphans_reclaims_dead_pid_leases(registry):
     with open(lease, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     shm, _ = registry._segments.pop(d.token)
-    registry._refs.pop(d.token, None)
     shm.close()
 
     sweeper = SharedOperandRegistry(lease_dir=registry.lease_dir)

@@ -68,6 +68,19 @@ class TestFigureData:
         with pytest.raises(ConfigError, match="unknown figure"):
             figures.generate("fig99")
 
+    def test_sweep_records_hold_no_dense_output(self):
+        # Each record keeps a name, an SSF and per-variant timings: the
+        # variants' float64 outputs would hold gigabytes at scale 2.
+        from repro.gpu.timing import TimingResult
+
+        records = figures._sweep(SCALE, 256)
+        assert records
+        for name, s, timings in records:
+            assert isinstance(name, str) and isinstance(s, float)
+            assert timings and all(
+                isinstance(t, TimingResult) for t in timings.values()
+            )
+
     def test_deterministic(self):
         a = figures.fig9(scale=SCALE)
         b = figures.fig9(scale=SCALE)

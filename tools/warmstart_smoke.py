@@ -10,13 +10,16 @@ the same directory, and asserts
 * the warm run performed **zero** format conversions (every
   ``convert:*`` / ``engine.convert`` span in its trace is a cache
   replay, ``cached=true``);
+* the warm run wrote nothing: ``manifest.json`` is byte-identical
+  before and after it (a disk hit keeps recency in memory);
 * the warm run's record JSON — digest included — is byte-identical to
   the cold run's.
 
-Exit status: 0 on parity, nonzero on any uncached conversion, digest
-drift, or CLI failure.
+Exit status: 0 on parity, nonzero on any uncached conversion, manifest
+write, digest drift, or CLI failure.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +67,12 @@ def conversion_spans(trace_path):
     return spans
 
 
+def manifest_sha256(store_dir):
+    """SHA-256 of the store's manifest bytes."""
+    with open(os.path.join(store_dir, "manifest.json"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-warmstart-") as tmp:
         store = os.path.join(tmp, "store")
@@ -79,6 +88,7 @@ def main() -> int:
               f"({sum(1 for _, c in cold_spans if not c)} executed)")
 
         # Fresh process, same directory: the persistent store must answer.
+        before = manifest_sha256(store)
         warm_record = run_once(store, os.path.join(tmp, "warm.jsonl"))
         warm_spans = conversion_spans(os.path.join(tmp, "warm.jsonl"))
         uncached = [name for name, cached in warm_spans if not cached]
@@ -86,6 +96,10 @@ def main() -> int:
             print(f"FAIL: warm run re-converted: {uncached}")
             return 1
         print(f"warm: {len(warm_spans)} conversion spans, all cached")
+        if manifest_sha256(store) != before:
+            print("FAIL: warm run rewrote manifest.json")
+            return 1
+        print("warm: manifest.json unchanged")
 
         # Record identity: everything but extras.trace_summary, the one
         # field RunRecord.digest() itself excludes (wall-clock telemetry).
